@@ -15,7 +15,7 @@ use ff_base::{Bytes, Dur};
 use ff_bench::Scenario;
 use ff_policy::PolicyKind;
 use ff_profile::HoardPlanner;
-use ff_sim::{SimConfig, Simulation};
+use ff_sim::{FaultPlan, SimConfig, Simulation};
 use ff_trace::Workload as _;
 
 fn main() {
@@ -83,7 +83,7 @@ fn mobility() {
     let s = Scenario::mplayer(42).expect("scenario builds");
     let cfg = || {
         s.configure(SimConfig::default())
-            .with_bandwidth_change(Dur::from_secs(120), 1.0)
+            .with_faults(FaultPlan::none().with_bandwidth_step(Dur::from_secs(120), 1.0))
     };
     println!("{:>18} {:>12} {:>10}", "policy", "energy", "time");
     for kind in [
@@ -110,8 +110,9 @@ fn outage() {
     println!("== extension: 180 s wireless outage during grep+make (t=300..480 s) ==");
     let s = Scenario::grep_make(42).expect("scenario builds");
     let cfg = || {
-        s.configure(SimConfig::default())
-            .with_wnic_outage(Dur::from_secs(300), Dur::from_secs(480))
+        s.configure(SimConfig::default()).with_faults(
+            FaultPlan::none().with_link_outage(Dur::from_secs(300), Dur::from_secs(180)),
+        )
     };
     println!("{:>18} {:>12} {:>12}", "policy", "no outage", "with outage");
     for kind in [

@@ -135,13 +135,6 @@ pub struct WnicModel {
     clock: SimTime,
     /// Start of the current CAM idle stretch (valid in `Cam`).
     idle_since: SimTime,
-    /// Association status. A card whose link is down keeps its power
-    /// state machine (it still burns idle power and times out to PSM)
-    /// but cannot carry traffic — the router must not send requests
-    /// here while the link is down. Orthogonal to [`WnicState`] on
-    /// purpose: losing the access point does not change what the radio
-    /// hardware is doing, only whether packets get through.
-    link_up: bool,
     meter: StateMeter,
 }
 
@@ -154,7 +147,6 @@ impl WnicModel {
             state: WnicState::Psm,
             clock: SimTime::ZERO,
             idle_since: SimTime::ZERO,
-            link_up: true,
             meter: StateMeter::new(),
         }
     }
@@ -214,18 +206,6 @@ impl WnicModel {
     /// Change the server round-trip latency mid-run.
     pub fn set_latency(&mut self, latency: Dur) {
         self.params.latency = latency;
-    }
-
-    /// Take the link down (association lost) or bring it back up.
-    /// The power state machine keeps running either way; callers are
-    /// expected to stop routing traffic here while the link is down.
-    pub fn set_link_up(&mut self, up: bool) {
-        self.link_up = up;
-    }
-
-    /// Whether the card is associated with an access point.
-    pub fn link_is_up(&self) -> bool {
-        self.link_up
     }
 
     fn transfer_power(&self, dir: Dir, cam: bool) -> Watts {
@@ -535,20 +515,6 @@ mod tests {
         let e2 = w.estimate(SimTime::ZERO, &DeviceRequest::read(Bytes::kib(64), None));
         assert_eq!(e1, e2);
         assert_eq!(w.energy(), Joules::ZERO);
-    }
-
-    #[test]
-    fn link_flag_is_orthogonal_to_power_state() {
-        let mut w = wnic();
-        assert!(w.link_is_up(), "a fresh card is associated");
-        w.set_link_up(false);
-        assert!(!w.link_is_up());
-        // The power machine keeps integrating idle energy regardless.
-        w.advance_to(SimTime::from_secs(10));
-        assert_eq!(w.state(), WnicState::Psm);
-        assert!(w.energy().get() > 0.0);
-        w.set_link_up(true);
-        assert!(w.link_is_up());
     }
 
     #[test]

@@ -27,11 +27,12 @@
 //! mutant is *killed* when the families the probe aims at all report
 //! new findings relative to a self-baseline of the clean tree.
 //!
-//! The per-family kill matrix serialises to `results/lint-killscore.json`
-//! and is ratcheted: [`KillMatrix::floor_violations`] lists every family
-//! whose kill rate fell below its recorded floor (currently 1.0 across
-//! the board), and tier-1 tests, `scripts/check.sh` and CI fail on any
-//! violation. Same seed ⇒ byte-identical mutant set and matrix.
+//! The per-family kill matrix is committed as
+//! `crates/ff-lint/killscore.json` and is ratcheted:
+//! [`KillMatrix::floor_violations`] lists every family whose kill rate
+//! fell below its recorded floor (currently 1.0 across the board), and
+//! tier-1 tests, `scripts/check.sh` and CI fail on any violation. Same
+//! seed ⇒ byte-identical mutant set and matrix.
 
 use crate::baseline::Baseline;
 use crate::rules::{count_occurrences, Rule};

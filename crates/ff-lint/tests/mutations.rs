@@ -95,20 +95,20 @@ fn engine_is_deterministic_for_a_seed() {
     assert_eq!(a, b, "same seed produced different kill matrices");
 }
 
-/// The committed artifact in `results/lint-killscore.json` must match
+/// The committed artifact in `crates/ff-lint/killscore.json` must match
 /// what the engine produces at the default seed, so the checked-in
 /// matrix can never drift from the code.
 #[test]
 fn committed_matrix_matches_a_fresh_run() {
-    let path = root().join("results/lint-killscore.json");
+    let path = root().join("crates/ff-lint/killscore.json");
     let committed =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     let fresh = run().to_json();
     assert_eq!(
         committed.trim_end(),
         fresh.trim_end(),
-        "results/lint-killscore.json is stale — regenerate with \
-         `cargo run -p ff-lint -- --killscore results/lint-killscore.json`"
+        "crates/ff-lint/killscore.json is stale — regenerate with \
+         `cargo run -p ff-lint -- --killscore crates/ff-lint/killscore.json`"
     );
 }
 

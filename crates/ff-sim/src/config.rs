@@ -42,23 +42,14 @@ pub struct SimConfig {
     /// Record chronological per-device power logs in the report's meters
     /// (memory ∝ state changes; off by default).
     pub record_power_log: bool,
-    /// Scheduled WNIC bandwidth changes `(at, Mbps)` — the user walking
-    /// away from (or back towards) the access point. Applied in time
-    /// order; FlexFetch's re-evaluations see the new rate through its
-    /// device clones (§2.3 environment adaptation).
-    pub wnic_bandwidth_schedule: Vec<(Dur, f64)>,
-    /// Wireless outages `(start, end)` relative to t = 0: while one is
-    /// active, requests routed to the WNIC fail over to the local disk
-    /// (failure injection; disconnected operation per §4 \[11\]).
-    pub wnic_outages: Vec<(Dur, Dur)>,
     /// Optional flash tier (extension — §4's SmartSaver): a low-power
     /// page cache between RAM and the devices, `(params, capacity in
     /// 4 KiB pages)`. Reads hitting flash touch neither the disk nor the
     /// WNIC; writes aimed at a sleeping disk buffer in flash and destage
     /// when the disk wakes.
     pub flash: Option<(FlashParams, usize)>,
-    /// Scripted fault plan (link outages, bandwidth fades, server
-    /// outages, disk storms, profile injection). Empty by default —
+    /// Scripted fault plan (link outages, bandwidth fades and steps,
+    /// server outages, disk storms, profile injection). Empty by default —
     /// a run without faults behaves exactly as before the fault
     /// subsystem existed.
     pub faults: FaultPlan,
@@ -81,8 +72,6 @@ impl Default for SimConfig {
             network_only_files: BTreeSet::new(),
             sync_writes: false,
             record_power_log: false,
-            wnic_bandwidth_schedule: Vec::new(),
-            wnic_outages: Vec::new(),
             flash: None,
             faults: FaultPlan::none(),
             retry: RetryPolicy::default(),
@@ -119,21 +108,6 @@ impl SimConfig {
     /// Enable write synchronisation to the remote server.
     pub fn with_sync_writes(mut self) -> Self {
         self.sync_writes = true;
-        self
-    }
-
-    /// Schedule a bandwidth change at `at` after simulation start.
-    pub fn with_bandwidth_change(mut self, at: Dur, mbps: f64) -> Self {
-        self.wnic_bandwidth_schedule.push((at, mbps));
-        self.wnic_bandwidth_schedule.sort_by_key(|&(t, _)| t);
-        self
-    }
-
-    /// Inject a wireless outage.
-    pub fn with_wnic_outage(mut self, start: Dur, end: Dur) -> Self {
-        assert!(start < end, "outage must have positive length");
-        self.wnic_outages.push((start, end));
-        self.wnic_outages.sort_by_key(|&(s, _)| s);
         self
     }
 

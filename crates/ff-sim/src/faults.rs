@@ -8,6 +8,9 @@
 //!
 //! * [`Fault::BandwidthFade`] — the link rate drops to `mbps` for a
 //!   window, then restores to whatever it was before the fade;
+//! * [`Fault::BandwidthStep`] — the link rate changes to `mbps` for
+//!   good (the user walking away from the access point); the policy is
+//!   not told and must discover it in its §2.3.1 stage-end audit;
 //! * [`Fault::LinkOutage`] — the card loses association entirely; the
 //!   router fails hoarded requests over to the disk and stalls
 //!   network-only ones until the link returns;
@@ -62,6 +65,14 @@ pub enum Fault {
         /// Faded link bandwidth in Mbit/s.
         mbps: f64,
     },
+    /// The link rate changes to `mbps` for the rest of the run. Unlike a
+    /// fade, the policy gets no notice.
+    BandwidthStep {
+        /// Onset, relative to simulation start.
+        at: Dur,
+        /// New link bandwidth in Mbit/s.
+        mbps: f64,
+    },
     /// The wireless link loses association for `dur`.
     LinkOutage {
         /// Onset, relative to simulation start.
@@ -103,6 +114,7 @@ impl Fault {
     pub fn at(&self) -> Dur {
         match *self {
             Fault::BandwidthFade { at, .. }
+            | Fault::BandwidthStep { at, .. }
             | Fault::LinkOutage { at, .. }
             | Fault::ServerOutage { at, .. }
             | Fault::DiskStorm { at, .. }
@@ -114,6 +126,7 @@ impl Fault {
     pub fn label(&self) -> &'static str {
         match self {
             Fault::BandwidthFade { .. } => "bandwidth_fade",
+            Fault::BandwidthStep { .. } => "bandwidth_step",
             Fault::LinkOutage { .. } => "link_outage",
             Fault::ServerOutage { .. } => "server_outage",
             Fault::DiskStorm { .. } => "disk_storm",
@@ -127,12 +140,9 @@ impl Fault {
                 if dur.is_zero() {
                     return Err(Error::Fault("bandwidth fade with zero duration".into()));
                 }
-                if !mbps.is_finite() || mbps <= 0.0 {
-                    return Err(Error::Fault(format!(
-                        "bandwidth fade to a non-positive rate ({mbps} Mbit/s)"
-                    )));
-                }
+                positive_rate("fade", mbps)?;
             }
+            Fault::BandwidthStep { mbps, .. } => positive_rate("step", mbps)?,
             Fault::LinkOutage { dur, .. } => {
                 if dur.is_zero() {
                     return Err(Error::Fault("link outage with zero duration".into()));
@@ -160,6 +170,17 @@ impl Fault {
         }
         Ok(())
     }
+}
+
+/// Reject a bandwidth fault whose target rate is zero, negative or not
+/// a number.
+fn positive_rate(kind: &str, mbps: f64) -> Result<()> {
+    if !mbps.is_finite() || mbps <= 0.0 {
+        return Err(Error::Fault(format!(
+            "bandwidth {kind} to a non-positive rate ({mbps} Mbit/s)"
+        )));
+    }
+    Ok(())
 }
 
 /// Per-request behaviour against an unresponsive server: a request times
@@ -272,6 +293,12 @@ impl FaultPlan {
         self
     }
 
+    /// Add a permanent bandwidth change to `mbps` at `at`.
+    pub fn with_bandwidth_step(mut self, at: Dur, mbps: f64) -> Self {
+        self.faults.push(Fault::BandwidthStep { at, mbps });
+        self
+    }
+
     /// Add a server outage: no responses from `at` for `dur`.
     pub fn with_server_outage(mut self, at: Dur, dur: Dur) -> Self {
         self.faults.push(Fault::ServerOutage { at, dur });
@@ -306,6 +333,7 @@ impl FaultPlan {
 
     /// A random-but-reproducible plan: 2–5 faults of mixed kinds spread
     /// over `span`. The same `(seed, span)` always yields the same plan.
+    /// Every kind but [`Fault::BandwidthStep`] can be drawn.
     pub fn seeded(seed: u64, span: Dur) -> Self {
         let span_us = span.as_micros().max(1_000_000);
         let mut plan = FaultPlan::none();
@@ -400,10 +428,11 @@ mod tests {
         let plan = FaultPlan::none()
             .with_link_outage(Dur::from_secs(10), Dur::from_secs(5))
             .with_bandwidth_fade(Dur::from_secs(20), Dur::from_secs(5), 1.0)
+            .with_bandwidth_step(Dur::from_secs(25), 2.0)
             .with_server_outage(Dur::from_secs(30), Dur::from_secs(5))
             .with_disk_storm(Dur::from_secs(40), 4, Dur::from_secs(2), 65_536)
             .with_profile_fault(Dur::from_secs(50), ProfileFaultMode::Corrupt);
-        assert_eq!(plan.faults.len(), 5);
+        assert_eq!(plan.faults.len(), 6);
         assert!(plan.validate().is_ok());
         let labels: Vec<&str> = plan.faults.iter().map(|f| f.label()).collect();
         assert_eq!(
@@ -411,6 +440,7 @@ mod tests {
             [
                 "link_outage",
                 "bandwidth_fade",
+                "bandwidth_step",
                 "server_outage",
                 "disk_storm",
                 "profile_fault"
@@ -438,6 +468,18 @@ mod tests {
                 at: Dur::ZERO,
                 dur: Dur::from_secs(1),
                 mbps: f64::NAN,
+            },
+            Fault::BandwidthStep {
+                at: Dur::ZERO,
+                mbps: 0.0,
+            },
+            Fault::BandwidthStep {
+                at: Dur::ZERO,
+                mbps: -1.0,
+            },
+            Fault::BandwidthStep {
+                at: Dur::ZERO,
+                mbps: f64::INFINITY,
             },
             Fault::DiskStorm {
                 at: Dur::ZERO,

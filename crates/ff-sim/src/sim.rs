@@ -92,8 +92,6 @@ enum EventKind {
     Flush,
     /// Evaluation-stage boundary.
     StageEnd,
-    /// Apply the next scheduled WNIC bandwidth change.
-    WnicChange(usize),
     /// Apply the fault action at this index of `Runner::fault_actions`
     /// (actions live in a side table so this enum stays `Ord`).
     Fault(usize),
@@ -116,6 +114,8 @@ enum FaultAction {
     FadeStart { mbps: f64 },
     /// Bandwidth fade ends: restore the pre-fade rate.
     FadeEnd,
+    /// Permanent bandwidth change to `mbps`; the policy is not told.
+    BandwidthStep { mbps: f64 },
     /// A background process reads `bytes` bytes from the disk.
     DiskTouch { bytes: u64 },
     /// Hand the policy a stale/corrupted replacement profile.
@@ -136,6 +136,9 @@ fn expand_faults(plan: &FaultPlan) -> Vec<(Dur, FaultAction)> {
             Fault::BandwidthFade { at, dur, mbps } => {
                 actions.push((at, FaultAction::FadeStart { mbps }));
                 actions.push((at + dur, FaultAction::FadeEnd));
+            }
+            Fault::BandwidthStep { at, mbps } => {
+                actions.push((at, FaultAction::BandwidthStep { mbps }));
             }
             Fault::ServerOutage { at, dur } => {
                 let until = SimTime::ZERO + at + dur;
@@ -348,7 +351,6 @@ struct Runner<'t, 'r> {
     wnic_bytes: Bytes,
     flash_requests: u64,
     flash_bytes: Bytes,
-    stages_done: usize,
     /// Policy decisions drained incrementally (so the recorder sees
     /// them as they happen); becomes `SimReport::decisions`.
     decisions: Vec<(SimTime, Source, &'static str)>,
@@ -457,7 +459,6 @@ impl<'t, 'r> Runner<'t, 'r> {
             wnic_bytes: Bytes::ZERO,
             flash_requests: 0,
             flash_bytes: Bytes::ZERO,
-            stages_done: 0,
             decisions: Vec::new(),
         };
         if runner.tracing {
@@ -468,8 +469,7 @@ impl<'t, 'r> Runner<'t, 'r> {
         }
         // Fault actions first: at equal timestamps a fault applies
         // before the request it should affect (an outage starting at t
-        // covers a call issued at t, exactly like a static outage
-        // window, whose containment check is `now >= start`).
+        // covers a call issued at t).
         runner.fault_actions = expand_faults(&runner.cfg.faults);
         for i in 0..runner.fault_actions.len() {
             let at = runner.fault_actions[i].0;
@@ -487,16 +487,6 @@ impl<'t, 'r> Runner<'t, 'r> {
         }
         runner.push_event(SimTime::ZERO + flush_interval, EventKind::Flush);
         runner.push_event(SimTime::ZERO + stage_len, EventKind::StageEnd);
-        let changes: Vec<(usize, Dur)> = runner
-            .cfg
-            .wnic_bandwidth_schedule
-            .iter()
-            .enumerate()
-            .map(|(i, &(at, _))| (i, at))
-            .collect();
-        for (i, at) in changes {
-            runner.push_event(SimTime::ZERO + at, EventKind::WnicChange(i));
-        }
         runner
     }
 
@@ -505,30 +495,37 @@ impl<'t, 'r> Runner<'t, 'r> {
         self.events.push(Reverse((t, self.seq, kind)));
     }
 
-    /// Is the wireless link down at `now` — either inside a configured
-    /// outage window or while an injected [`Fault::LinkOutage`] is
-    /// active?
-    fn wnic_out(&self, now: SimTime) -> bool {
-        self.link_down_until.is_some_and(|u| now < u)
-            || self
-                .cfg
-                .wnic_outages
-                .iter()
-                .any(|&(s, e)| now >= SimTime::ZERO + s && now < SimTime::ZERO + e)
+    /// End of the injected [`Fault::LinkOutage`] active at `now`, if
+    /// the wireless link is down — when a stalled network-only request
+    /// can resume.
+    fn link_down(&self, now: SimTime) -> Option<SimTime> {
+        self.link_down_until.filter(|&u| now < u)
     }
 
-    /// Latest end of all outage windows (configured or injected) active
-    /// at `now` — when a stalled network-only request can resume.
-    fn wnic_resume(&self, now: SimTime) -> Option<SimTime> {
-        let static_end = self
-            .cfg
-            .wnic_outages
-            .iter()
-            .filter(|&&(s, e)| now >= SimTime::ZERO + s && now < SimTime::ZERO + e)
-            .map(|&(_, e)| SimTime::ZERO + e)
-            .max();
-        let fault_end = self.link_down_until.filter(|&u| now < u);
-        static_end.into_iter().chain(fault_end).max()
+    /// Hand the policy a [`PolicyCtx`] over the live devices, the disk
+    /// layout and the cache's residency probe at `now`.
+    fn with_policy<R>(
+        &mut self,
+        now: SimTime,
+        call: impl FnOnce(&mut dyn Policy, &PolicyCtx<'_>) -> R,
+    ) -> R {
+        let Runner {
+            policy,
+            disk,
+            wnic,
+            layout,
+            cache,
+            ..
+        } = self;
+        let resident = |f: FileId, o: u64, l: Bytes| cache.resident_fraction(f, o, l);
+        let ctx = PolicyCtx {
+            now,
+            disk,
+            wnic,
+            layout,
+            resident: &resident,
+        };
+        call(policy.as_mut(), &ctx)
     }
 
     /// Record one observability event (no-op unless a recorder is
@@ -612,25 +609,7 @@ impl<'t, 'r> Runner<'t, 'r> {
     /// Tell the policy the environment changed, then surface any
     /// decisions it took in response.
     fn policy_fault(&mut self, now: SimTime, notice: FaultNotice) {
-        {
-            let Runner {
-                policy,
-                disk,
-                wnic,
-                layout,
-                cache,
-                ..
-            } = self;
-            let resident = |f: FileId, o: u64, l: Bytes| cache.resident_fraction(f, o, l);
-            let ctx = PolicyCtx {
-                now,
-                disk,
-                wnic,
-                layout,
-                resident: &resident,
-            };
-            policy.on_fault(&ctx, notice);
-        }
+        self.with_policy(now, |policy, ctx| policy.on_fault(ctx, notice));
         self.drain_decisions();
     }
 
@@ -731,6 +710,21 @@ impl<'t, 'r> Runner<'t, 'r> {
                 }
                 self.policy_fault(t, FaultNotice::BandwidthChanged { mbps });
             }
+            FaultAction::BandwidthStep { mbps } => {
+                if !live {
+                    return;
+                }
+                self.wnic.advance_to(t);
+                self.wnic
+                    .set_bandwidth(BytesPerSec::from_mbit_per_sec(mbps));
+                self.faults_injected += 1;
+                // Recorded, but the policy is NOT notified: drift (the
+                // user walking around) is discovered by the §2.3.1
+                // stage-end audit, unlike a fade, which pushes a notice.
+                if self.tracing {
+                    self.emit(ObsEvent::BandwidthChange { at: t, mbps });
+                }
+            }
             FaultAction::DiskTouch { bytes } => {
                 if !live {
                     return;
@@ -754,25 +748,7 @@ impl<'t, 'r> Runner<'t, 'r> {
                 }
                 self.faults_injected += 1;
                 let profile = crate::faults::injected_profile(mode, self.trace);
-                {
-                    let Runner {
-                        policy,
-                        disk,
-                        wnic,
-                        layout,
-                        cache,
-                        ..
-                    } = self;
-                    let resident = |f: FileId, o: u64, l: Bytes| cache.resident_fraction(f, o, l);
-                    let ctx = PolicyCtx {
-                        now: t,
-                        disk,
-                        wnic,
-                        layout,
-                        resident: &resident,
-                    };
-                    policy.inject_profile(&ctx, profile);
-                }
+                self.with_policy(t, |policy, ctx| policy.inject_profile(ctx, profile));
                 self.drain_decisions();
                 if self.tracing {
                     self.emit(ObsEvent::ProfileInjected {
@@ -880,13 +856,11 @@ impl<'t, 'r> Runner<'t, 'r> {
             return (Source::Disk, true, "pinned");
         }
         if self.cfg.network_only_files.contains(&req.file) {
-            if self.wnic_out(now) {
+            if let Some(resume) = self.link_down(now) {
                 // Not hoarded AND disconnected: the request stalls until
                 // the link returns — modelled as service at the outage
                 // end (the disk genuinely has no copy).
-                if let Some(resume) = self.wnic_resume(now) {
-                    self.wnic.advance_to(resume);
-                }
+                self.wnic.advance_to(resume);
                 return (Source::Wnic, false, "unhoarded-stall");
             }
             // Not hoarded: the local disk has no copy. The policy is not
@@ -894,54 +868,13 @@ impl<'t, 'r> Runner<'t, 'r> {
             // still the profiled program's own I/O (not external).
             return (Source::Wnic, false, "unhoarded");
         }
-        if self.wnic_out(now) {
+        if self.link_down(now).is_some() {
             // Link down: fail over to the disk regardless of preference.
             // The policy still observes the outcome (measured adaptation).
             return (Source::Disk, false, "outage-failover");
         }
-        let Runner {
-            policy,
-            disk,
-            wnic,
-            layout,
-            cache,
-            ..
-        } = self;
-        let resident = |f: FileId, o: u64, l: Bytes| cache.resident_fraction(f, o, l);
-        let ctx = PolicyCtx {
-            now,
-            disk,
-            wnic,
-            layout,
-            resident: &resident,
-        };
-        (policy.select(&ctx, req), false, "policy")
-    }
-
-    fn notify_observe(
-        &mut self,
-        now: SimTime,
-        req: &AppRequest,
-        source: Option<Source>,
-        outcome: &ServiceOutcome,
-    ) {
-        let Runner {
-            policy,
-            disk,
-            wnic,
-            layout,
-            cache,
-            ..
-        } = self;
-        let resident = |f: FileId, o: u64, l: Bytes| cache.resident_fraction(f, o, l);
-        let ctx = PolicyCtx {
-            now,
-            disk,
-            wnic,
-            layout,
-            resident: &resident,
-        };
-        policy.observe(&ctx, req, source, outcome);
+        let source = self.with_policy(now, |policy, ctx| policy.select(ctx, req));
+        (source, false, "policy")
     }
 
     /// Service one device request, tallying stats. Returns the outcome.
@@ -1019,7 +952,7 @@ impl<'t, 'r> Runner<'t, 'r> {
                 let _ = d;
                 energy += e;
             }
-            (hit_keep(miss_d), hit_keep(miss_p))
+            (miss_d, miss_p)
         } else {
             (demand.to_vec(), prefetch.to_vec())
         };
@@ -1279,7 +1212,9 @@ impl<'t, 'r> Runner<'t, 'r> {
                 service_time: done.saturating_since(t),
                 energy,
             };
-            self.notify_observe(done, &app_req, source, &outcome);
+            self.with_policy(done, |policy, ctx| {
+                policy.observe(ctx, &app_req, source, &outcome)
+            });
         }
         Ok(done)
     }
@@ -1298,25 +1233,30 @@ impl<'t, 'r> Runner<'t, 'r> {
             }
         }
         let pages = self.cache.flush_due(now, ready);
-        if pages.is_empty() {
+        self.write_back(now, &pages);
+    }
+
+    /// Write a batch of dirty pages back asynchronously. The batch is
+    /// routed as one write of its first page: pinned files go to the
+    /// disk, the rest wherever the policy currently points writes.
+    fn write_back(&mut self, at: SimTime, pages: &[PageKey]) {
+        let Some(first) = pages.first() else {
             return;
-        }
+        };
         if self.tracing {
             self.emit(ObsEvent::WritebackFlush {
-                at: now,
+                at,
                 pages: u64::try_from(pages.len()).unwrap_or(u64::MAX),
             });
         }
-        // Route the batch: pinned files to the disk, the rest wherever
-        // the policy currently points writes.
         let probe = AppRequest {
-            file: pages[0].file,
+            file: first.file,
             op: IoOp::Write,
-            offset: pages[0].index * PAGE_SIZE,
+            offset: first.index * PAGE_SIZE,
             len: Bytes(PAGE_SIZE),
         };
-        let (source, _, _) = self.route(now, &probe);
-        let _ = self.write_dirty(now, &pages, source);
+        let (source, _, _) = self.route(at, &probe);
+        let _ = self.write_dirty(at, pages, source);
     }
 
     fn end_stage(&mut self, now: SimTime) {
@@ -1333,25 +1273,7 @@ impl<'t, 'r> Runner<'t, 'r> {
             disk_energy: self.disk.energy() - self.disk_mark,
             wnic_energy: self.wnic.energy() - self.wnic_mark,
         };
-        {
-            let Runner {
-                policy,
-                disk,
-                wnic,
-                layout,
-                cache,
-                ..
-            } = self;
-            let resident = |f: FileId, o: u64, l: Bytes| cache.resident_fraction(f, o, l);
-            let ctx = PolicyCtx {
-                now,
-                disk,
-                wnic,
-                layout,
-                resident: &resident,
-            };
-            policy.on_stage_end(&ctx, &report);
-        }
+        self.with_policy(now, |policy, ctx| policy.on_stage_end(ctx, &report));
         let fetched_now = self.disk_bytes.saturating_add(self.wnic_bytes);
         let fetched = fetched_now.saturating_sub(self.stage_bytes_mark);
         self.stage_summaries.push(crate::report::StageSummary {
@@ -1388,7 +1310,6 @@ impl<'t, 'r> Runner<'t, 'r> {
         }
         self.stage_bytes_mark = fetched_now;
         self.stage_index += 1;
-        self.stages_done += 1;
         self.stage_start = now;
         self.disk_mark = self.disk.energy();
         self.wnic_mark = self.wnic.energy();
@@ -1431,19 +1352,6 @@ impl<'t, 'r> Runner<'t, 'r> {
                         self.push_event(t + self.cfg.stage_len, EventKind::StageEnd);
                     }
                 }
-                EventKind::WnicChange(i) => {
-                    let (_, mbps) = self.cfg.wnic_bandwidth_schedule[i];
-                    self.wnic.advance_to(t);
-                    self.wnic
-                        .set_bandwidth(ff_base::BytesPerSec::from_mbit_per_sec(mbps));
-                    // Recorded for observability, but the policy is NOT
-                    // notified: scheduled drift (the user walking around)
-                    // is discovered by the §2.3.1 stage-end audit, unlike
-                    // injected fades which push a FaultNotice.
-                    if self.tracing {
-                        self.emit(ObsEvent::BandwidthChange { at: t, mbps });
-                    }
-                }
                 EventKind::Fault(i) => {
                     self.apply_fault(t, i);
                 }
@@ -1455,22 +1363,7 @@ impl<'t, 'r> Runner<'t, 'r> {
         // devices are advanced to the end of the run.
         let end = self.last_completion;
         let dirty = self.cache.flush_all();
-        if !dirty.is_empty() {
-            if self.tracing {
-                self.emit(ObsEvent::WritebackFlush {
-                    at: end,
-                    pages: u64::try_from(dirty.len()).unwrap_or(u64::MAX),
-                });
-            }
-            let probe = AppRequest {
-                file: dirty[0].file,
-                op: IoOp::Write,
-                offset: dirty[0].index * PAGE_SIZE,
-                len: Bytes(PAGE_SIZE),
-            };
-            let (source, _, _) = self.route(end, &probe);
-            let _ = self.write_dirty(end, &dirty, source);
-        }
+        self.write_back(end, &dirty);
         // Final destage of any flash-buffered writes.
         if let Some((_, fc)) = &mut self.flash {
             let destage = fc.take_destage();
@@ -1529,7 +1422,7 @@ impl<'t, 'r> Runner<'t, 'r> {
             cache_hits: hits,
             cache_misses: misses,
             cache_stats: self.cache.stats(),
-            stages: self.stages_done,
+            stages: self.stage_index,
             faults_injected: self.faults_injected,
             retries: self.fault_retries,
             failovers: self.fault_failovers,
@@ -1538,12 +1431,6 @@ impl<'t, 'r> Runner<'t, 'r> {
             stage_summaries: self.stage_summaries,
         })
     }
-}
-
-/// Identity helper naming the flash-miss runs that continue to the
-/// routed device.
-fn hit_keep(runs: PageRuns) -> PageRuns {
-    runs
 }
 
 /// Group sorted page keys into per-file contiguous runs.
@@ -1918,25 +1805,6 @@ mod tests {
     }
 
     #[test]
-    fn outage_fails_over_to_disk() {
-        use ff_trace::Xmms;
-        let trace = Xmms {
-            play_limit: Some(Dur::from_secs(120)),
-            ..Default::default()
-        }
-        .build(8);
-        // Link down for the whole run: WNIC-only policy still ends up on
-        // the disk.
-        let cfg = SimConfig::default().with_wnic_outage(Dur::ZERO, Dur::from_secs(100_000));
-        let report = Simulation::new(cfg, &trace)
-            .policy(PolicyKind::WnicOnly)
-            .run()
-            .unwrap();
-        assert_eq!(report.wnic_requests, 0, "outage must block the WNIC");
-        assert!(report.disk_requests > 0);
-    }
-
-    #[test]
     fn partial_outage_splits_traffic() {
         use ff_trace::Xmms;
         let trace = Xmms {
@@ -1944,7 +1812,8 @@ mod tests {
             ..Default::default()
         }
         .build(8);
-        let cfg = SimConfig::default().with_wnic_outage(Dur::from_secs(50), Dur::from_secs(150));
+        let plan = FaultPlan::none().with_link_outage(Dur::from_secs(50), Dur::from_secs(100));
+        let cfg = SimConfig::default().with_faults(plan);
         let report = Simulation::new(cfg, &trace)
             .policy(PolicyKind::WnicOnly)
             .run()
@@ -1965,7 +1834,7 @@ mod tests {
         let outage_end = Dur::from_secs(500);
         let cfg = SimConfig::default()
             .with_network_only_files(all)
-            .with_wnic_outage(Dur::ZERO, outage_end);
+            .with_faults(FaultPlan::none().with_link_outage(Dur::ZERO, outage_end));
         let report = Simulation::new(cfg, &trace)
             .policy(PolicyKind::DiskOnly)
             .run()
@@ -1983,7 +1852,8 @@ mod tests {
             .run()
             .unwrap();
         // Degrade to 1 Mbps almost immediately.
-        let cfg = SimConfig::default().with_bandwidth_change(Dur::from_millis(100), 1.0);
+        let step = FaultPlan::none().with_bandwidth_step(Dur::from_millis(100), 1.0);
+        let cfg = SimConfig::default().with_faults(step);
         let degraded = Simulation::new(cfg, &trace)
             .policy(PolicyKind::WnicOnly)
             .run()
@@ -1995,6 +1865,7 @@ mod tests {
             fast.exec_time
         );
         assert!(degraded.total_energy() > fast.total_energy());
+        assert_eq!(degraded.faults_injected, 1);
     }
 
     #[test]
@@ -2166,6 +2037,16 @@ mod tests {
         let plan = FaultPlan::none().with_link_outage(Dur::ZERO, Dur::ZERO);
         let err = Simulation::new(SimConfig::default().with_faults(plan), &trace)
             .policy(PolicyKind::DiskOnly)
+            .run();
+        assert!(matches!(err, Err(Error::Fault(_))));
+    }
+
+    #[test]
+    fn zero_rate_bandwidth_step_is_rejected_up_front() {
+        let trace = grep_small();
+        let plan = FaultPlan::none().with_bandwidth_step(Dur::from_millis(100), 0.0);
+        let err = Simulation::new(SimConfig::default().with_faults(plan), &trace)
+            .policy(PolicyKind::WnicOnly)
             .run();
         assert!(matches!(err, Err(Error::Fault(_))));
     }

@@ -74,18 +74,23 @@ handbook_step() {
 
 # The mutation engine's ratchet gate: regenerate the kill-score matrix
 # at the committed seed and fail when any family's kill rate falls
-# below its recorded floor (the binary exits non-zero on a violation).
-# The matrix lands in results/ so CI can upload it next to the product
-# automaton.
+# below its recorded floor (the binary exits non-zero on a violation)
+# or when the fresh matrix differs from the committed one in
+# crates/ff-lint/killscore.json. The fresh matrix lands in results/ so
+# CI can upload it next to the product automaton.
 killscore_step() {
     mkdir -p results
-    if cargo run -q -p ff-lint -- --killscore results/lint-killscore.json; then
-        echo "    kill matrix: results/lint-killscore.json"
-        return 0
+    if ! cargo run -q -p ff-lint -- --killscore results/lint-killscore.json; then
+        echo "error: a rule family's mutation kill rate fell below its" >&2
+        echo "       recorded floor; see results/lint-killscore.json" >&2
+        return 1
     fi
-    echo "error: a rule family's mutation kill rate fell below its" >&2
-    echo "       recorded floor; see results/lint-killscore.json" >&2
-    return 1
+    if ! cmp -s results/lint-killscore.json crates/ff-lint/killscore.json; then
+        echo "error: crates/ff-lint/killscore.json is stale; regenerate with" >&2
+        echo "       'cargo run -p ff-lint -- --killscore crates/ff-lint/killscore.json'" >&2
+        return 1
+    fi
+    echo "    kill matrix: results/lint-killscore.json (= crates/ff-lint/killscore.json)"
 }
 
 # The parallel sweep engine's acceptance gate: the full benchsim grid

@@ -243,7 +243,7 @@ fn extension_mobility_adaptation_beats_static() {
     let s = Scenario::mplayer(42).unwrap();
     let cfg = || {
         s.configure(SimConfig::default())
-            .with_bandwidth_change(Dur::from_secs(120), 1.0)
+            .with_faults(FaultPlan::none().with_bandwidth_step(Dur::from_secs(120), 1.0))
     };
     let ff = Simulation::new(cfg(), &s.trace)
         .policy(PolicyKind::flexfetch(s.profile.clone()))
@@ -254,6 +254,13 @@ fn extension_mobility_adaptation_beats_static() {
     assert!(
         ff.decisions.iter().any(|(_, _, why)| *why == "audit:flip"),
         "no adaptation recorded: {:?}",
+        ff.decisions
+    );
+    assert!(
+        !ff.decisions
+            .iter()
+            .any(|(_, _, why)| why.starts_with("fault:")),
+        "a bandwidth step is discovered by the audit, never announced: {:?}",
         ff.decisions
     );
     assert!(ff.total_energy().get() < stat.get());

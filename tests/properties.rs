@@ -60,7 +60,7 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
 /// the leading kind selector).
 fn arb_fault() -> impl Strategy<Value = Fault> {
     (
-        (0u32..5, 0u64..30_000_000, 100_000u64..15_000_000),
+        (0u32..6, 0u64..30_000_000, 100_000u64..15_000_000),
         (
             1u64..=11,
             1u32..8,
@@ -85,6 +85,10 @@ fn arb_fault() -> impl Strategy<Value = Fault> {
                         touches,
                         gap: Dur(gap),
                         bytes,
+                    },
+                    4 => Fault::BandwidthStep {
+                        at,
+                        mbps: mbps_steps as f64 * 0.5,
                     },
                     _ => Fault::ProfileFault {
                         at,
