@@ -1,11 +1,12 @@
 //! Wave 4: numeric abstract interpretation over the item tree.
 //!
 //! The first three semantic waves prove *shape* properties — state
-//! machines, unit dimensions, taint. This wave proves *value-range*
-//! properties, which is what FlexFetch's energy argument actually
-//! rests on: energy accumulators never go negative, divisors never
-//! reach zero, counters do not silently truncate, and the paper's
-//! timeout constants satisfy the §3 break-even ordering.
+//! machines, taint, the composed product. This wave proves *value*
+//! properties, which is what FlexFetch's energy argument actually rests
+//! on: time and energy never mix, energy accumulators never go
+//! negative, divisors never reach zero, counters do not silently
+//! truncate, and the paper's timeout constants satisfy the §3
+//! break-even ordering.
 //!
 //! The domain is a product of three components per expression:
 //!
@@ -13,8 +14,10 @@
 //!   extended reals,
 //! - the **sign** lattice ([`crate::interval::Sign`]), kept alongside
 //!   the interval so polarity survives widening,
-//! - the **dimension** component reused from the dataflow wave
-//!   ([`crate::dataflow::Dim`]: time-at-scale, joules, bytes).
+//! - the **dimension** (`Dim`: µs, ms, s, joules, bytes), read from
+//!   identifier suffixes (`deadline_us`, `total_j`), accessors
+//!   (`.as_micros()`) and the `Joules`/`Bytes` newtypes. Additive
+//!   arithmetic keeps a dimension, `*` and `/` rescale and clear it.
 //!
 //! Abstract values are computed by a small expression evaluator over
 //! the preprocessed line text: numeric literals and the Table 1/2
@@ -26,10 +29,20 @@
 //! descending fixpoint: round one evaluates every function's return
 //! expression with all calls mapped to `TOP`, round two re-evaluates
 //! with round one's summaries substituted. Both rounds are sound, so
-//! the tighter second round is kept.
+//! the tighter second round is kept. A summary carries the return
+//! dimension too: the fn-name suffix (`fn beacon_interval_ms()`) when
+//! there is one, else the dimension the return expressions agree on.
 //!
-//! Three rule families consume the facts, all pinned at zero:
+//! Four rule families consume the facts, all pinned at zero:
 //!
+//! - **unit-flow** — two different known dimensions meeting in `+`,
+//!   `-`, `+=`, `-=` or a spaced `<`/`>`; a call argument whose
+//!   dimension contradicts the callee's parameter suffix; a suffixed
+//!   `let` contradicting its initialiser; a return or tail expression
+//!   contradicting the fn-name suffix. Call results flow through the
+//!   summaries, so an `_ms` value produced two crates away and passed
+//!   to a `_us` parameter is caught. Same-name fns whose dimensions
+//!   disagree are not judged.
 //! - **arith-safety** — divisions whose divisor provably may be zero
 //!   (interval contains zero, or an explicit `.max(0)` floor), lossy
 //!   narrowing and float→int `as` casts that the interval cannot prove
@@ -48,14 +61,16 @@
 //!   far smaller, but the clamp is what bounds a runaway ladder), plus
 //!   `WNIC_PSM_TIMEOUT_MS < T_breakeven` and the requirement that
 //!   every backoff shift is `.min(..)`-clamped and overflow-free.
+//!
+//! unit-flow walks every library file; arith-safety and energy-bounds
+//! walk only `ARITH_CRATES` and `ENERGY_CRATES`.
 
+use crate::callgraph::STD_COLLIDING_METHODS;
 use crate::consts;
-use crate::dataflow::Dim;
 use crate::interval::{Interval, Sign};
 use crate::items::{self, Item, ItemTree};
 use crate::rules::{call_args, parse_num, Finding, Rule};
 use crate::scan::{FileKind, SourceFile};
-use crate::units::Unit;
 use std::collections::BTreeMap;
 
 /// Crates whose library code is held to `arith-safety`.
@@ -79,6 +94,34 @@ const NARROW_TARGETS: [(&str, f64, f64); 6] = [
 const INT_TARGETS: [&str; 10] = [
     "i16", "i32", "i64", "i8", "isize", "u16", "u32", "u64", "u8", "usize",
 ];
+
+/// A physical dimension. Time keeps its scale: µs, ms and s are three
+/// dimensions, because rescaling between them is never implicit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Dim {
+    Micros,
+    Millis,
+    Secs,
+    Joules,
+    Bytes,
+}
+
+impl Dim {
+    fn label(self) -> &'static str {
+        match self {
+            Dim::Micros => "us",
+            Dim::Millis => "ms",
+            Dim::Secs => "s",
+            Dim::Joules => "j",
+            Dim::Bytes => "bytes",
+        }
+    }
+
+    /// Integer counters (times and sizes) that can overflow.
+    fn is_counter(self) -> bool {
+        self != Dim::Joules
+    }
+}
 
 /// One value in the product domain: interval × sign × dimension, plus
 /// a syntactic "came from float arithmetic" taint used by the
@@ -151,18 +194,35 @@ fn refine(mut v: AbsVal) -> AbsVal {
 }
 
 type Env = BTreeMap<String, AbsVal>;
-type Sums = BTreeMap<String, Interval>;
+/// Function summaries by bare name: the joined return interval and
+/// return dimension of every same-name workspace fn.
+type Sums = BTreeMap<String, AbsVal>;
 
-/// Dimension of an identifier, extended with the energy-field naming
-/// convention (`energy`, `*_energy`) the `_j` suffix rule misses.
+/// Parameter dimensions by bare fn name (`self` excluded).
+type Params = BTreeMap<String, Vec<Option<Dim>>>;
+
+/// Dimension of an identifier from its suffix, plus the energy-field
+/// naming convention (`energy`, `*_energy`).
 fn dim_of_name(name: &str) -> Option<Dim> {
-    if let Some(d) = Dim::of_ident(name) {
-        return Some(d);
+    for (suffix, dim) in [
+        ("_us", Dim::Micros),
+        ("_micros", Dim::Micros),
+        ("_ms", Dim::Millis),
+        ("_millis", Dim::Millis),
+        ("_s", Dim::Secs),
+        ("_secs", Dim::Secs),
+        ("_j", Dim::Joules),
+        ("_joules", Dim::Joules),
+        ("_bytes", Dim::Bytes),
+    ] {
+        if name
+            .strip_suffix(suffix)
+            .is_some_and(|stem| !stem.is_empty())
+        {
+            return Some(dim);
+        }
     }
-    if name == "energy" || name.ends_with("_energy") {
-        return Some(Dim::Joules);
-    }
-    None
+    (name == "energy" || name.ends_with("_energy")).then_some(Dim::Joules)
 }
 
 /// Names that abstract to "unknown but non-negative physical quantity".
@@ -386,13 +446,13 @@ impl<'a> Eval<'a> {
                 TK::Plus => AbsVal {
                     iv: v.iv.add(rhs.iv),
                     sign: v.sign.add(rhs.sign),
-                    dim: if v.dim == rhs.dim { v.dim } else { None },
+                    dim: add_dim(v.dim, rhs.dim),
                     floaty: v.floaty || rhs.floaty,
                 },
                 _ => AbsVal {
                     iv: v.iv.sub(rhs.iv),
                     sign: v.sign.add(rhs.sign.neg()),
-                    dim: if v.dim == rhs.dim { v.dim } else { None },
+                    dim: add_dim(v.dim, rhs.dim),
                     floaty: v.floaty || rhs.floaty,
                 },
             };
@@ -401,6 +461,8 @@ impl<'a> Eval<'a> {
         v
     }
 
+    /// `*`, `/` and `%`. Multiplication and division rescale, which is
+    /// how a value legitimately changes dimension, so both clear it.
     fn term(&mut self) -> AbsVal {
         let mut v = self.unary();
         while let Some(t) = self.peek() {
@@ -414,7 +476,7 @@ impl<'a> Eval<'a> {
                 TK::Star => refine(AbsVal {
                     iv: v.iv.mul(rhs.iv),
                     sign: v.sign.mul(rhs.sign),
-                    dim: v.dim.or(rhs.dim),
+                    dim: None,
                     floaty: v.floaty || rhs.floaty,
                 }),
                 TK::Slash => refine(AbsVal {
@@ -497,7 +559,7 @@ impl<'a> Eval<'a> {
                     if self.peek().map(|t| t.kind) == Some(TK::LParen) {
                         self.bump();
                         let args = self.args();
-                        v = apply_method(v, name, &args);
+                        v = apply_method(v, name, &args, self.sums);
                     } else {
                         // Field access: abstract by the field's name.
                         v = field_val(name);
@@ -580,6 +642,15 @@ impl<'a> Eval<'a> {
     }
 }
 
+/// Dimension of `a ± b`: a unitless side adopts the other's dimension;
+/// two different dimensions have none (unit-flow reports the mix).
+fn add_dim(a: Option<Dim>, b: Option<Dim>) -> Option<Dim> {
+    match (a, b) {
+        (Some(x), Some(y)) if x != y => None,
+        _ => a.or(b),
+    }
+}
+
 /// `lhs << rhs` over intervals: only meaningful for non-negative bases.
 fn shl_interval(lhs: Interval, rhs: Interval) -> Interval {
     if !lhs.is_nonneg() || !rhs.is_nonneg() {
@@ -637,8 +708,9 @@ fn apply_cast(v: AbsVal, target: &str) -> AbsVal {
 
 /// Abstract a known method call; unknown methods conservatively
 /// return `TOP` (method summaries stay out of divisor reasoning so a
-/// misresolved name can never manufacture a finding).
-fn apply_method(v: AbsVal, name: &str, args: &[AbsVal]) -> AbsVal {
+/// misresolved name can never manufacture a finding) and keep only the
+/// summary's dimension, unless the name collides with a std method.
+fn apply_method(v: AbsVal, name: &str, args: &[AbsVal], sums: &Sums) -> AbsVal {
     let arg = |i: usize| -> AbsVal { args.get(i).cloned().unwrap_or_else(AbsVal::top) };
     match name {
         "max" => refine(AbsVal {
@@ -690,11 +762,11 @@ fn apply_method(v: AbsVal, name: &str, args: &[AbsVal]) -> AbsVal {
             dim: v.dim,
             floaty: v.floaty,
         }),
-        "as_micros" => time_val(v, Unit::Micros),
-        "as_millis" => time_val(v, Unit::Millis),
-        "as_secs" => time_val(v, Unit::Secs),
+        "as_micros" => AbsVal::counter(Some(Dim::Micros)),
+        "as_millis" => AbsVal::counter(Some(Dim::Millis)),
+        "as_secs" => AbsVal::counter(Some(Dim::Secs)),
         "as_secs_f64" => {
-            let mut out = AbsVal::counter(Some(Dim::Time(Unit::Secs)));
+            let mut out = AbsVal::counter(Some(Dim::Secs));
             out.floaty = true;
             out
         }
@@ -703,49 +775,41 @@ fn apply_method(v: AbsVal, name: &str, args: &[AbsVal]) -> AbsVal {
             out.floaty = true;
             out
         }
-        _ => AbsVal::top(),
+        _ => AbsVal {
+            dim: sums
+                .get(name)
+                .filter(|_| !STD_COLLIDING_METHODS.contains(&name))
+                .and_then(|s| s.dim),
+            ..AbsVal::top()
+        },
     }
-}
-
-fn time_val(_recv: AbsVal, unit: Unit) -> AbsVal {
-    AbsVal::counter(Some(Dim::Time(unit)))
 }
 
 /// Abstract a bare (single-segment) call via the function summaries;
 /// qualified paths model the `ff_base` constructors and stay `TOP`
-/// otherwise.
+/// otherwise. The newtype constructors pass their argument's interval
+/// through: `Bytes`/`Joules` fix the dimension, while `Watts` and the
+/// scale-free `Dur`/`SimTime` clear it.
 fn call_val(name: &str, args: &[AbsVal], sums: &Sums) -> AbsVal {
-    let arg = |i: usize| -> AbsVal { args.get(i).cloned().unwrap_or_else(AbsVal::top) };
-    let last = name.rsplit("::").next().unwrap_or(name);
-    if name == "Bytes" {
-        let mut v = arg(0);
-        v.dim = Some(Dim::Bytes);
-        return v;
-    }
-    if name == "Joules" || name == "Watts" {
-        let mut v = arg(0);
-        if name == "Joules" {
-            v.dim = Some(Dim::Joules);
-        }
-        return v;
-    }
-    if name.starts_with("Dur::from_") || name.starts_with("SimTime::from_") {
-        let unit = match last {
-            "from_micros" => Some(Unit::Micros),
-            "from_millis" => Some(Unit::Millis),
-            "from_secs" | "from_secs_f64" => Some(Unit::Secs),
-            _ => None,
-        };
-        let mut v = arg(0);
-        v.dim = unit.map(Dim::Time);
-        return v;
+    let dim = match name {
+        "Bytes" => Some(Dim::Bytes),
+        "Joules" => Some(Dim::Joules),
+        _ => None,
+    };
+    if dim.is_some()
+        || name == "Watts"
+        || name.starts_with("Dur::from_")
+        || name.starts_with("SimTime::from_")
+    {
+        let arg = args.first().cloned().unwrap_or_else(AbsVal::top);
+        return AbsVal { dim, ..arg };
     }
     if name == "u64::MAX" {
         return AbsVal::of_interval(Interval::point(u64::MAX as f64));
     }
     if !name.contains("::") {
-        if let Some(iv) = sums.get(name) {
-            return AbsVal::of_interval(*iv);
+        if let Some(sum) = sums.get(name) {
+            return sum.clone();
         }
     }
     AbsVal::top()
@@ -1032,26 +1096,14 @@ fn walk_fn<F: FnMut(usize, &str, &Env)>(
     sink: &mut F,
 ) -> Env {
     let mut env = base_env(ctab, item);
-    let (lo, hi) = body_range(item);
-    for idx in lo..hi {
-        let Some(line) = file.lines.get(idx) else {
-            continue;
-        };
-        if line.in_test {
-            continue;
-        }
-        let code = line.code.trim();
-        if code.is_empty() {
-            continue;
-        }
+    for (idx, code) in body_lines(file, item) {
         sink(idx, code, &env);
         if let Some((name, rhs)) = split_let(code) {
             let v = refine(eval_slice(rhs, &env, sums));
-            let v = match dim_of_name(name) {
-                Some(d) if v.dim.is_none() => AbsVal { dim: Some(d), ..v },
-                _ => v,
-            };
-            env.insert(name.to_owned(), v);
+            // A suffixed name keeps its declared dimension even when the
+            // initialiser contradicts it (unit-flow reports that).
+            let dim = dim_of_name(name).or(v.dim);
+            env.insert(name.to_owned(), AbsVal { dim, ..v });
         } else if let Some((lhs, op, rhs)) = split_compound(code) {
             let name = last_segment(lhs);
             if let Some(old) = env.get(name).cloned() {
@@ -1101,62 +1153,61 @@ fn body_range(item: &Item) -> (usize, usize) {
     }
 }
 
-/// Candidate return expressions of a function: `return X;` lines plus
-/// the tail expression (single-line bodies included).
-fn return_exprs<'a>(file: &'a SourceFile, item: &Item) -> Vec<&'a str> {
-    let mut out = Vec::new();
-    if item.body_start != 0 && item.body_start == item.body_end {
-        if let Some(line) = file.lines.get(item.body_start.saturating_sub(1)) {
-            if let (Some(open), Some(close)) = (line.code.find('{'), line.code.rfind('}')) {
-                if open + 1 < close {
-                    if let Some(inner) = line.code.get(open + 1..close) {
-                        let inner = inner.trim();
-                        if !inner.is_empty() {
-                            out.push(inner);
-                        }
-                    }
-                }
-            }
-        }
-        return out;
-    }
+/// The non-empty, non-test code lines of a function's body with their
+/// 0-based line indices, trimmed.
+fn body_lines<'a>(file: &'a SourceFile, item: &Item) -> impl Iterator<Item = (usize, &'a str)> {
     let (lo, hi) = body_range(item);
-    let mut tail: Option<&str> = None;
-    for idx in lo..hi {
-        let Some(line) = file.lines.get(idx) else {
-            continue;
-        };
-        if line.in_test {
-            continue;
-        }
+    (lo..hi).filter_map(move |idx| {
+        let line = file.lines.get(idx).filter(|l| !l.in_test)?;
         let code = line.code.trim();
-        if code.is_empty() {
-            continue;
-        }
-        if let Some(rest) = code.strip_prefix("return ") {
-            out.push(rest.trim_end_matches(';'));
-        }
-        if !code.ends_with(';') && !code.ends_with('{') && !code.ends_with('}') {
-            tail = Some(code);
-        } else {
-            tail = None;
-        }
+        (!code.is_empty()).then_some((idx, code))
+    })
+}
+
+/// The expression after `return` on a `return X;` line.
+fn returned(code: &str) -> Option<&str> {
+    code.strip_prefix("return ")
+        .map(|rest| rest.trim_end_matches(';'))
+}
+
+/// A function's tail expression with its 0-based line index: the whole
+/// interior of a single-line body, else the last body line that ends
+/// the block without `;`, `{` or `}`.
+fn tail_expr<'a>(file: &'a SourceFile, item: &Item) -> Option<(usize, &'a str)> {
+    if item.body_start != 0 && item.body_start == item.body_end {
+        let idx = item.body_start.saturating_sub(1);
+        let code = &file.lines.get(idx)?.code;
+        let (open, close) = (code.find('{')?, code.rfind('}')?);
+        let inner = code.get(open + 1..close)?.trim();
+        return (!inner.is_empty()).then_some((idx, inner));
     }
-    if let Some(t) = tail {
-        out.push(t);
-    }
+    let (idx, code) = body_lines(file, item).last()?;
+    let open = code.ends_with(';') || code.ends_with('{') || code.ends_with('}');
+    (!open).then_some((idx, code))
+}
+
+/// Candidate return expressions of a function with their 0-based line
+/// indices: `return X;` lines plus the tail expression.
+fn return_exprs<'a>(file: &'a SourceFile, item: &Item) -> Vec<(usize, &'a str)> {
+    let mut out: Vec<(usize, &str)> = body_lines(file, item)
+        .filter_map(|(idx, code)| Some((idx, returned(code)?)))
+        .collect();
+    out.extend(tail_expr(file, item));
     out
 }
 
 /// One summary round: evaluate every library function's return
-/// expressions under `prev` summaries.
+/// expressions under `prev` summaries. Same-name fns are joined: the
+/// interval over those with a known (non-`TOP`) return interval, the
+/// dimension over all of them, so a name whose fns disagree has none.
 fn summary_round(
     sources: &[SourceFile],
     trees: &[ItemTree],
     ctab: &BTreeMap<String, f64>,
     prev: &Sums,
 ) -> Sums {
-    let mut next = Sums::new();
+    let mut ivs: BTreeMap<&str, Interval> = BTreeMap::new();
+    let mut dims: BTreeMap<&str, Option<Dim>> = BTreeMap::new();
     for (file, tree) in sources.iter().zip(trees) {
         if file.kind != FileKind::Lib {
             continue;
@@ -1166,35 +1217,68 @@ fn summary_round(
                 continue;
             }
             let env = walk_fn(file, item, ctab, prev, &mut |_, _, _| {});
-            let mut joined: Option<Interval> = None;
-            for expr in return_exprs(file, item) {
-                let v = eval_slice(expr, &env, prev);
-                joined = Some(match joined {
-                    Some(j) => j.join(v.iv),
-                    None => v.iv,
-                });
-            }
-            let Some(iv) = joined else { continue };
-            if iv.is_top() {
+            let ret = return_exprs(file, item)
+                .into_iter()
+                .map(|(_, expr)| eval_slice(expr, &env, prev))
+                .reduce(|a, b| a.join(&b));
+            let name = item.name.as_str();
+            let dim = dim_of_name(name).or(ret.as_ref().and_then(|r| r.dim));
+            dims.entry(name)
+                .and_modify(|d| {
+                    if *d != dim {
+                        *d = None;
+                    }
+                })
+                .or_insert(dim);
+            let Some(iv) = ret.map(|r| r.iv).filter(|iv| !iv.is_top()) else {
                 continue;
-            }
-            let entry = next.entry(item.name.clone()).or_insert(iv);
-            *entry = entry.join(iv);
+            };
+            ivs.entry(name)
+                .and_modify(|j| *j = j.join(iv))
+                .or_insert(iv);
         }
     }
-    next
+    dims.into_iter()
+        .map(|(name, dim)| {
+            let iv = ivs.get(name).copied().unwrap_or(Interval::TOP);
+            (
+                name.to_owned(),
+                AbsVal {
+                    dim,
+                    ..AbsVal::of_interval(iv)
+                },
+            )
+        })
+        .collect()
 }
 
 /// Two-round descending fixpoint over function return intervals. Round
 /// one is computed with every call abstracted to `TOP` (sound); round
 /// two substitutes round one's summaries (still sound, tighter or
-/// equal), so the second round is the result.
+/// equal), so the second round is the result. Round one already knows
+/// each fn's name-suffix dimension, so a return dimension travels up
+/// two levels of helpers (`a() -> b() -> c_ms()` gives `a` ms).
 fn build_summaries(
     sources: &[SourceFile],
     trees: &[ItemTree],
     ctab: &BTreeMap<String, f64>,
 ) -> Sums {
-    let round1 = summary_round(sources, trees, ctab, &Sums::new());
+    let mut seed = Sums::new();
+    for (file, tree) in sources.iter().zip(trees) {
+        if file.kind != FileKind::Lib {
+            continue;
+        }
+        for (_, item) in tree.fns() {
+            if let Some(dim) = dim_of_name(&item.name).filter(|_| !item.in_test) {
+                let top = AbsVal {
+                    dim: Some(dim),
+                    ..AbsVal::top()
+                };
+                seed.insert(item.name.clone(), top);
+            }
+        }
+    }
+    let round1 = summary_round(sources, trees, ctab, &seed);
     summary_round(sources, trees, ctab, &round1)
 }
 
@@ -1210,8 +1294,8 @@ pub fn fn_summaries(sources: &[SourceFile]) -> BTreeMap<String, Interval> {
             continue;
         }
         for (_, item) in tree.fns() {
-            if let Some(iv) = bare.get(&item.name) {
-                out.insert(format!("{}::{}", file.crate_name, item.name), *iv);
+            if let Some(sum) = bare.get(&item.name).filter(|s| !s.iv.is_top()) {
+                out.insert(format!("{}::{}", file.crate_name, item.name), sum.iv);
             }
         }
     }
@@ -1226,6 +1310,7 @@ pub fn fn_summaries(sources: &[SourceFile]) -> BTreeMap<String, Interval> {
 pub(crate) fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> Vec<Finding> {
     let ctab = consts::const_table(sources);
     let sums = build_summaries(sources, trees, &ctab);
+    let params = param_dims(sources, trees);
     let mut out = Vec::new();
     for (file, tree) in sources.iter().zip(trees) {
         if file.kind != FileKind::Lib {
@@ -1233,15 +1318,16 @@ pub(crate) fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> Vec<Finding
         }
         let arith = ARITH_CRATES.contains(&file.crate_name.as_str());
         let energy = ENERGY_CRATES.contains(&file.crate_name.as_str());
-        if !arith && !energy {
-            continue;
-        }
         for (_, item) in tree.fns() {
             if item.in_test {
                 continue;
             }
             let fn_text = fn_body_text(file, item);
             let mut sink = |idx: usize, code: &str, env: &Env| {
+                check_dims(file, idx, code, env, &sums, &params, &mut out);
+                if let Some(expr) = returned(code) {
+                    check_return_dim(file, item, (idx, expr), env, &sums, &mut out);
+                }
                 if arith {
                     check_divisions(file, item, idx, code, env, &sums, &fn_text, &mut out);
                     check_casts(file, idx, code, env, &sums, &mut out);
@@ -1251,7 +1337,10 @@ pub(crate) fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> Vec<Finding
                     check_energy_line(file, idx, code, env, &sums, &mut out);
                 }
             };
-            walk_fn(file, item, &ctab, &sums, &mut sink);
+            let env = walk_fn(file, item, &ctab, &sums, &mut sink);
+            if let Some(tail) = tail_expr(file, item) {
+                check_return_dim(file, item, tail, &env, &sums, &mut out);
+            }
             if energy {
                 check_drain_fn(file, item, &mut out);
             }
@@ -1259,6 +1348,39 @@ pub(crate) fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> Vec<Finding
     }
     out.extend(timeout_order(sources, &ctab));
     out
+}
+
+/// Parameter dimensions of every library fn, by bare name. Same-name
+/// fns that disagree are dropped (the name alone cannot say which one a
+/// call means), as are fns without a single dimensioned parameter.
+fn param_dims(sources: &[SourceFile], trees: &[ItemTree]) -> Params {
+    let mut table: BTreeMap<&str, Option<Vec<Option<Dim>>>> = BTreeMap::new();
+    for (file, tree) in sources.iter().zip(trees) {
+        if file.kind != FileKind::Lib {
+            continue;
+        }
+        for (_, item) in tree.fns() {
+            if item.in_test {
+                continue;
+            }
+            let dims: Vec<Option<Dim>> = item.params.iter().map(|p| dim_of_name(p)).collect();
+            table
+                .entry(item.name.as_str())
+                .and_modify(|seen| {
+                    if seen.as_ref() != Some(&dims) {
+                        *seen = None;
+                    }
+                })
+                .or_insert(Some(dims));
+        }
+    }
+    table
+        .into_iter()
+        .filter_map(|(name, dims)| {
+            let dims = dims.filter(|d| d.iter().any(Option::is_some))?;
+            Some((name.to_owned(), dims))
+        })
+        .collect()
 }
 
 fn fn_body_text(file: &SourceFile, item: &Item) -> String {
@@ -1286,6 +1408,146 @@ fn push(
         token,
         message,
     });
+}
+
+/// unit-flow: the dimension mismatches on one line. Two known,
+/// different dimensions meeting in `+`, `-`, `+=`, `-=` or a spaced
+/// `<`/`>` (rustfmt spacing keeps generics out); a call argument against
+/// the callee's parameter suffix; a suffixed `let` against its
+/// initialiser.
+fn check_dims(
+    file: &SourceFile,
+    idx: usize,
+    code: &str,
+    env: &Env,
+    sums: &Sums,
+    params: &Params,
+    out: &mut Vec<Finding>,
+) {
+    let dim = |slice: &str| eval_slice(slice, env, sums).dim;
+    let b = code.as_bytes();
+    for (i, &c) in b.iter().enumerate() {
+        let next = b.get(i + 1).copied();
+        let operator = match c {
+            b'+' | b'-' => next != Some(b'>') && next != Some(b'+'),
+            b'<' | b'>' => i > 0 && b[i - 1] == b' ' && matches!(next, Some(b' ' | b'=')),
+            _ => false,
+        };
+        if !operator {
+            continue;
+        }
+        let left = operand_left(code, i);
+        let right = operand_right(code, i + 1 + usize::from(next == Some(b'=')));
+        if let (Some(l), Some(r)) = (dim(left), dim(right)) {
+            if l != r {
+                push(
+                    out,
+                    Rule::UnitFlow,
+                    file,
+                    idx,
+                    format!("{}{}{}", l.label(), c as char, r.label()),
+                    format!(
+                        "mixed dimensions: `{left}` is {} but `{right}` is {}; rescale \
+                         explicitly or move both into a newtype",
+                        l.label(),
+                        r.label()
+                    ),
+                );
+            }
+        }
+    }
+    let mut ev = Eval::new(code, env, sums);
+    for k in 0..ev.toks.len() {
+        let t = ev.toks[k];
+        if t.kind != TK::Ident || ev.toks.get(k + 1).map(|n| n.kind) != Some(TK::LParen) {
+            continue;
+        }
+        let path = ev.text(t);
+        let name = path.rsplit("::").next().unwrap_or(path);
+        let method = k > 0 && ev.toks[k - 1].kind == TK::Dot;
+        if method && STD_COLLIDING_METHODS.contains(&name) {
+            continue;
+        }
+        let Some(want) = params.get(name) else {
+            continue;
+        };
+        ev.i = k + 2;
+        let args = ev.args();
+        if args.len() != want.len() {
+            continue; // multi-line call, closure argument, or UFCS
+        }
+        for (n, (arg, want)) in args.iter().zip(want).enumerate() {
+            if let (Some(got), Some(want)) = (arg.dim, *want) {
+                if got != want {
+                    push(
+                        out,
+                        Rule::UnitFlow,
+                        file,
+                        idx,
+                        format!("call:{name}"),
+                        format!(
+                            "argument {} of `{name}` carries {} but `{name}` expects {} \
+                             there",
+                            n + 1,
+                            got.label(),
+                            want.label()
+                        ),
+                    );
+                }
+            }
+        }
+    }
+    if let Some((name, rhs)) = split_let(code) {
+        if let (Some(want), Some(got)) = (dim_of_name(name), dim(rhs)) {
+            if got != want {
+                push(
+                    out,
+                    Rule::UnitFlow,
+                    file,
+                    idx,
+                    format!("let:{name}"),
+                    format!(
+                        "`{name}` claims {} by its suffix but its initialiser is {}",
+                        want.label(),
+                        got.label()
+                    ),
+                );
+            }
+        }
+    }
+}
+
+/// unit-flow: a return or tail expression whose dimension contradicts
+/// the fn-name suffix (`fn window_ms() { return limit_s; }`), judged
+/// under the environment at its line.
+fn check_return_dim(
+    file: &SourceFile,
+    item: &Item,
+    (idx, expr): (usize, &str),
+    env: &Env,
+    sums: &Sums,
+    out: &mut Vec<Finding>,
+) {
+    let Some(want) = dim_of_name(&item.name) else {
+        return;
+    };
+    if let Some(got) = eval_slice(expr, env, sums).dim {
+        if got != want {
+            push(
+                out,
+                Rule::UnitFlow,
+                file,
+                idx,
+                format!("ret:{}", item.name),
+                format!(
+                    "`{}` promises {} by its suffix but returns a {} value",
+                    item.name,
+                    want.label(),
+                    got.label()
+                ),
+            );
+        }
+    }
 }
 
 /// arith-safety: division-by-zero freedom.
@@ -1422,7 +1684,7 @@ fn check_casts(
 fn check_counters(file: &SourceFile, idx: usize, code: &str, out: &mut Vec<Finding>) {
     if let Some((lhs, op, _rhs)) = split_compound(code) {
         let seg = last_segment(lhs);
-        let counter = matches!(Dim::of_ident(seg), Some(Dim::Bytes) | Some(Dim::Time(_)));
+        let counter = dim_of_name(seg).is_some_and(Dim::is_counter);
         if counter && !code.contains("saturating") {
             push(
                 out,
@@ -1452,13 +1714,12 @@ fn check_counters(file: &SourceFile, idx: usize, code: &str, out: &mut Vec<Findi
         let left = path_before(code, i - 1);
         let right = path_after(code, i + 1);
         let (Some(ld), Some(rd)) = (
-            Dim::of_ident(last_segment(left)),
-            Dim::of_ident(last_segment(right)),
+            dim_of_name(last_segment(left)),
+            dim_of_name(last_segment(right)),
         ) else {
             continue;
         };
-        let countable = |d: Dim| matches!(d, Dim::Bytes | Dim::Time(_));
-        if ld == rd && countable(ld) {
+        if ld == rd && ld.is_counter() {
             push(
                 out,
                 Rule::ArithSafety,
@@ -1848,38 +2109,44 @@ mod tests {
         assert_eq!(root_ident("self.total_bytes as f64"), "total_bytes");
     }
 
-    fn lib_file(src: &str) -> SourceFile {
+    const X: &str = "crates/ff-sim/src/x.rs";
+
+    /// A library file at `path`, its crate taken from the path.
+    fn lib_file(path: &str, src: &str) -> SourceFile {
         SourceFile {
-            rel_path: "crates/ff-sim/src/x.rs".to_owned(),
-            crate_name: "ff-sim".to_owned(),
+            rel_path: path.to_owned(),
+            crate_name: path.split('/').nth(1).unwrap_or("ff-sim").to_owned(),
             kind: FileKind::Lib,
             lines: preprocess(src),
         }
     }
 
-    fn run(src: &str) -> Vec<Finding> {
-        let sources = vec![lib_file(src)];
+    /// Every finding over a set of `(path, source)` library files.
+    fn run(files: &[(&str, &str)]) -> Vec<Finding> {
+        let sources: Vec<SourceFile> = files.iter().map(|(p, src)| lib_file(p, src)).collect();
         let trees = items::build(&sources);
         analyze(&sources, &trees)
     }
 
     #[test]
     fn division_by_unguarded_counter_is_flagged() {
-        let bad = run("pub fn f(n_bytes: u64, total: u64) -> f64 {\n    let r = 1.0;\n    r / n_bytes as f64\n}\n");
+        let bad = run(&[(X, "pub fn f(n_bytes: u64, total: u64) -> f64 {\n    let r = 1.0;\n    r / n_bytes as f64\n}\n")]);
         assert!(bad.iter().any(|f| f.rule == Rule::ArithSafety));
-        let guarded = run(
-            "pub fn f(n_bytes: u64) -> f64 {\n    if n_bytes == 0 {\n        return 0.0;\n    }\n    1.0 / n_bytes as f64\n}\n",
-        );
+        let guarded = run(&[(X, "pub fn f(n_bytes: u64) -> f64 {\n    if n_bytes == 0 {\n        return 0.0;\n    }\n    1.0 / n_bytes as f64\n}\n")]);
         assert!(guarded.is_empty(), "{guarded:?}");
-        let clamped = run("pub fn f(n_bytes: u64) -> f64 {\n    1.0 / n_bytes.max(1) as f64\n}\n");
+        let clamped = run(&[(
+            X,
+            "pub fn f(n_bytes: u64) -> f64 {\n    1.0 / n_bytes.max(1) as f64\n}\n",
+        )]);
         assert!(clamped.is_empty(), "{clamped:?}");
     }
 
     #[test]
     fn zero_floor_clamp_is_always_flagged() {
-        let bad = run(
+        let bad = run(&[(
+            X,
             "pub fn f(xs: &[u64]) -> u64 {\n    let d = 100;\n    d / xs.len().max(0) as u64\n}\n",
-        );
+        )]);
         assert!(bad
             .iter()
             .any(|f| f.rule == Rule::ArithSafety && f.token.contains("div")));
@@ -1887,51 +2154,217 @@ mod tests {
 
     #[test]
     fn narrowing_and_float_casts_are_flagged() {
-        let bad = run("pub fn f(x: u64) -> u32 {\n    x as u32\n}\n");
+        let bad = run(&[(X, "pub fn f(x: u64) -> u32 {\n    x as u32\n}\n")]);
         assert!(bad.iter().any(|f| f.token == "as u32"));
-        let ok = run("pub fn f(x: u64) -> u32 {\n    (x % 100) as u32\n}\n");
+        let ok = run(&[(X, "pub fn f(x: u64) -> u32 {\n    (x % 100) as u32\n}\n")]);
         assert!(ok.is_empty(), "{ok:?}");
-        let trunc = run("pub fn f(b: f64) -> u64 {\n    (b * 1000.0) as u64\n}\n");
+        let trunc = run(&[(X, "pub fn f(b: f64) -> u64 {\n    (b * 1000.0) as u64\n}\n")]);
         assert!(trunc.iter().any(|f| f.token == "as u64 (float)"));
     }
 
     #[test]
     fn counter_arithmetic_wants_saturation() {
-        let bad = run("pub fn f(&mut self, n_bytes: u64) {\n    self.total_bytes += n_bytes;\n}\n");
+        let bad = run(&[(
+            X,
+            "pub fn f(&mut self, n_bytes: u64) {\n    self.total_bytes += n_bytes;\n}\n",
+        )]);
         assert!(bad.iter().any(|f| f.token == "total_bytes +="));
-        let ok = run(
-            "pub fn f(&mut self, n_bytes: u64) {\n    self.total_bytes = self.total_bytes.saturating_add(n_bytes);\n}\n",
-        );
+        let ok = run(&[(X, "pub fn f(&mut self, n_bytes: u64) {\n    self.total_bytes = self.total_bytes.saturating_add(n_bytes);\n}\n")]);
         assert!(ok.is_empty(), "{ok:?}");
-        let bin = run("pub fn f(a_bytes: u64, b_bytes: u64) -> u64 {\n    let t = a_bytes + b_bytes;\n    t\n}\n");
+        let bin = run(&[(X, "pub fn f(a_bytes: u64, b_bytes: u64) -> u64 {\n    let t = a_bytes + b_bytes;\n    t\n}\n")]);
         assert!(bin.iter().any(|f| f.token.contains("a_bytes + b_bytes")));
     }
 
     #[test]
     fn energy_rules_catch_decrement_and_negative_add() {
-        let dec = run("pub fn f(&mut self) {\n    self.request_energy -= 1.0;\n}\n");
+        let dec = run(&[(
+            X,
+            "pub fn f(&mut self) {\n    self.request_energy -= 1.0;\n}\n",
+        )]);
         assert!(dec.iter().any(|f| f.rule == Rule::EnergyBounds));
-        let neg = run("pub fn f(&mut self, out_j: f64) {\n    self.request_energy += -out_j;\n}\n");
+        let neg = run(&[(
+            X,
+            "pub fn f(&mut self, out_j: f64) {\n    self.request_energy += -out_j;\n}\n",
+        )]);
         assert!(neg
             .iter()
             .any(|f| f.rule == Rule::EnergyBounds && f.token.contains("nonpos")));
-        let ok = run("pub fn f(&mut self, out_j: f64) {\n    self.request_energy += out_j;\n}\n");
+        let ok = run(&[(
+            X,
+            "pub fn f(&mut self, out_j: f64) {\n    self.request_energy += out_j;\n}\n",
+        )]);
         assert!(ok.iter().all(|f| f.rule != Rule::EnergyBounds), "{ok:?}");
     }
 
     #[test]
     fn drain_functions_must_be_monotone() {
-        let bad = run("pub fn task_drain(&self) -> Joules {\n    self.total() - self.base\n}\n");
+        let bad = run(&[(
+            X,
+            "pub fn task_drain(&self) -> Joules {\n    self.total() - self.base\n}\n",
+        )]);
         assert!(bad.iter().any(|f| f.token == "task_drain -"));
-        let ok = run("pub fn task_drain(&self) -> Joules {\n    self.total() + self.base\n}\n");
+        let ok = run(&[(
+            X,
+            "pub fn task_drain(&self) -> Joules {\n    self.total() + self.base\n}\n",
+        )]);
         assert!(ok.iter().all(|f| f.rule != Rule::EnergyBounds));
+    }
+
+    #[test]
+    fn unit_flow_reports_each_mismatch_exactly_once() {
+        const A: &str = "crates/ff-sim/src/a.rs";
+        type Case = (
+            &'static str,
+            &'static [(&'static str, &'static str)],
+            &'static [(&'static str, usize)],
+        );
+        let cases: [Case; 20] = [
+            (
+                "mixed addition",
+                &[(A, "fn f(start_us: u64, budget_s: u64) -> u64 {\n    start_us + budget_s\n}\n")],
+                &[("us+s", 2)],
+            ),
+            (
+                "consistent units",
+                &[(A, "fn f(start_us: u64, dur_us: u64) -> u64 {\n    start_us + dur_us\n}\n")],
+                &[],
+            ),
+            (
+                "let binding propagates the unit",
+                &[(A, "fn f(start_us: u64, end_s: u64) -> u64 {\n    let begin = start_us;\n    begin + end_s\n}\n")],
+                &[("us+s", 3)],
+            ),
+            (
+                "division rescales",
+                &[(A, "fn f(start_us: u64, end_s: u64) -> u64 {\n    let begin = start_us / 1_000_000;\n    begin + end_s\n}\n")],
+                &[],
+            ),
+            (
+                "accessor calls carry units",
+                &[(A, "fn f(d: Dur, start_us: u64) -> f64 {\n    d.as_secs_f64() + start_us\n}\n")],
+                &[("s+us", 2)],
+            ),
+            (
+                "cross-file call argument",
+                &[
+                    (A, "pub fn caller(deadline_s: u64) {\n    record(deadline_s, 4)\n}\n"),
+                    ("crates/ff-sim/src/b.rs", "pub fn record(ts_us: u64, n: u64) {\n    let _ = (ts_us, n);\n}\n"),
+                ],
+                &[("call:record", 2)],
+            ),
+            (
+                "comparison between units",
+                &[(A, "fn f(t_us: u64, limit_ms: u64) -> bool {\n    t_us < limit_ms\n}\n")],
+                &[("us<ms", 2)],
+            ),
+            (
+                "generics are not comparisons",
+                &[(A, "fn f(xs_us: Vec<u64>, cap_ms: u64) -> Vec<u64> {\n    let v: Vec<u64> = xs_us;\n    v\n}\n")],
+                &[],
+            ),
+            (
+                "return dimension flows into arithmetic",
+                &[(A, "pub fn beacon_interval_ms() -> u64 {\n    100\n}\n\
+                       pub fn next_wake(now_us: u64) -> u64 {\n    let gap = beacon_interval_ms();\n    now_us + gap\n}\n")],
+                &[("us+ms", 6)],
+            ),
+            (
+                "return dimension flows into call arguments",
+                &[(A, "pub fn last_beacon_ms() -> u64 {\n    7\n}\n\
+                       pub fn push_us(ts_us: u64) {\n    let _ = ts_us;\n}\n\
+                       pub fn flush() {\n    let stamp = last_beacon_ms();\n    push_us(stamp);\n}\n")],
+                &[("call:push_us", 9)],
+            ),
+            (
+                "inferred tail return propagates",
+                &[(A, "fn gap(step_ms: u64) -> u64 {\n    step_ms\n}\n\
+                       pub fn f(now_us: u64) -> u64 {\n    now_us + gap(3)\n}\n")],
+                &[("us+ms", 5)],
+            ),
+            (
+                "suffixed let contradicting a call",
+                &[(A, "pub fn deadline_us() -> u64 {\n    9\n}\n\
+                       pub fn f() {\n    let wake_ms = deadline_us();\n    let _ = wake_ms;\n}\n")],
+                &[("let:wake_ms", 5)],
+            ),
+            (
+                "joules against time",
+                &[(A, "pub fn f(total_j: f64, t_us: f64) -> f64 {\n    total_j + t_us\n}\n")],
+                &[("j+us", 2)],
+            ),
+            (
+                "local time mismatch",
+                &[(A, "pub fn f(start_us: u64, budget_s: u64) -> u64 {\n    start_us + budget_s\n}\n")],
+                &[("us+s", 2)],
+            ),
+            (
+                "method call resolves across crates",
+                &[
+                    ("crates/ff-device/src/a.rs", "pub struct Meter;\n\
+                      impl Meter {\n    pub fn push_us(&mut self, ts_us: u64) {\n        let _ = ts_us;\n    }\n}\n"),
+                    ("crates/ff-sim/src/b.rs", "pub fn last_beacon_ms() -> u64 {\n    5\n}\n\
+                      pub fn flush(m: &mut Meter) {\n    let stamp = last_beacon_ms();\n    m.push_us(stamp);\n}\n"),
+                ],
+                &[("call:push_us", 6)],
+            ),
+            (
+                "multiplication rescales a call result",
+                &[(A, "pub fn beacon_interval_ms() -> u64 {\n    100\n}\n\
+                       pub fn next_wake(now_us: u64) -> u64 {\n    let gap_us = beacon_interval_ms() * 1_000;\n    now_us + gap_us\n}\n")],
+                &[],
+            ),
+            (
+                "return contradicting the fn-name suffix",
+                &[(A, "pub fn window_ms(limit_s: u64) -> u64 {\n    return limit_s;\n}\n")],
+                &[("ret:window_ms", 2)],
+            ),
+            (
+                "same-name methods that disagree are not judged",
+                &[(A, "pub struct A;\nimpl A {\n    pub fn record(&self, t_us: u64) {\n        let _ = t_us;\n    }\n}\n\
+                       pub struct B;\nimpl B {\n    pub fn record(&self, t_ms: u64) {\n        let _ = t_ms;\n    }\n}\n\
+                       pub fn f(b: &B, x_s: u64) {\n    b.record(x_s);\n}\n")],
+                &[],
+            ),
+            (
+                "return dimension climbs a two-level helper chain",
+                &[(A, "pub fn c_ms() -> u64 {\n    5\n}\npub fn b() -> u64 {\n    c_ms()\n}\n\
+                       pub fn a() -> u64 {\n    b()\n}\npub fn f(now_us: u64) -> u64 {\n    now_us + a()\n}\n")],
+                &[("us+ms", 11)],
+            ),
+            (
+                "early return judged under the environment at its line",
+                &[(A, "pub fn pick_ms(x_ms: u64, y_s: u64) -> u64 {\n    let v = x_ms;\n    if x_ms > 5 {\n        \
+                       return v;\n    }\n    let v = y_s;\n    v\n}\n")],
+                &[("ret:pick_ms", 7)],
+            ),
+        ];
+        let unit_flow = |files: &[(&str, &str)]| -> Vec<Finding> {
+            let mut found: Vec<Finding> = run(files)
+                .into_iter()
+                .filter(|f| f.rule == Rule::UnitFlow)
+                .collect();
+            found.sort_by(|a, b| (a.line, &a.token).cmp(&(b.line, &b.token)));
+            found
+        };
+        for (what, files, want) in cases {
+            let found = unit_flow(files);
+            let got: Vec<(&str, usize)> =
+                found.iter().map(|f| (f.token.as_str(), f.line)).collect();
+            assert_eq!(got, want, "{what}: {found:?}");
+        }
+        let call = unit_flow(cases[5].1);
+        assert!(
+            call[0].message.contains("expects us"),
+            "{}",
+            call[0].message
+        );
     }
 
     #[test]
     fn summaries_resolve_bare_calls_in_two_rounds() {
         let src =
             "pub fn base() -> f64 {\n    7.0\n}\npub fn scaled() -> f64 {\n    base() * 3.0\n}\n";
-        let sources = vec![lib_file(src)];
+        let sources = vec![lib_file(X, src)];
         let sums = fn_summaries(&sources);
         assert_eq!(
             sums.get("ff-sim::base").copied(),

@@ -360,11 +360,6 @@ fn describe_path(
     }
 }
 
-/// Call-ish identifiers on one preprocessed line, names only.
-pub fn call_names(code: &str) -> Vec<&str> {
-    call_sites(code).into_iter().map(|c| c.name).collect()
-}
-
 /// Syntactic call sites on one preprocessed line: `foo(`, `.foo(` and
 /// `path::foo(` (macros `foo!(` and control-flow keywords excluded).
 pub fn call_sites(code: &str) -> Vec<CallSite<'_>> {
@@ -489,7 +484,8 @@ mod tests {
 
     #[test]
     fn call_names_extracts_calls_not_macros() {
-        let names = call_names("let x = helper(a) + obj.method(b); go!(c); if (x) {}");
+        let sites = call_sites("let x = helper(a) + obj.method(b); go!(c); if (x) {}");
+        let names: Vec<&str> = sites.iter().map(|c| c.name).collect();
         assert_eq!(names, ["helper", "method"]);
     }
 

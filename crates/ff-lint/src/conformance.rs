@@ -359,7 +359,9 @@ mod tests {
     }
 
     fn tree_with_trace(name: &str, trace: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("ff-lint-conformance-{name}"));
+        let dir =
+            std::env::temp_dir().join(format!("ff-lint-conformance-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(dir.join("bench")).expect("mkdir");
         std::fs::write(dir.join("bench/trace.jsonl"), trace).expect("write");
         dir
@@ -472,7 +474,9 @@ mod tests {
 
     #[test]
     fn roots_without_traces_are_silent() {
-        let dir = std::env::temp_dir().join("ff-lint-conformance-none");
+        let dir =
+            std::env::temp_dir().join(format!("ff-lint-conformance-none-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
         let (coverage, findings) = analyze(&dir, &[disk_table()]);
         assert!(findings.is_empty());

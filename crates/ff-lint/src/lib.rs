@@ -22,8 +22,8 @@
 //!    suppressions.
 //!
 //! On top of the per-line rules, a semantic layer ([`items`] →
-//! [`callgraph`], [`fsm`], [`units`]) recovers item boundaries from the
-//! preprocessed lines and runs three cross-file analyses:
+//! [`callgraph`], [`fsm`]) recovers item boundaries from the
+//! preprocessed lines and runs two cross-file analyses:
 //!
 //! 7. **panic-reachability** — which public APIs of the simulation
 //!    crates can transitively reach a panic site (`unwrap`, `expect`,
@@ -33,23 +33,16 @@
 //!    exhaustiveness, reachability, deadlock-freedom, and the presence
 //!    of the spin-down / CAM→PSM timeout paths tied to the pinned
 //!    constants.
-//! 9. **unit-flow** — the `_us`/`_ms`/`_s` suffix convention propagated
-//!    through let-bindings and call sites; mixed-unit arithmetic and
-//!    mismatched call arguments are findings.
 //!
-//! A second semantic wave ([`dataflow`], [`consts`], [`coverage`]) makes
-//! the audit *interprocedural*:
+//! A second semantic wave ([`consts`], [`coverage`]) audits the
+//! constants and the observability layer:
 //!
-//! 10. **unit-flow-interproc** — unit (and joule/byte) facts propagated
-//!     *across* function boundaries through call-graph-resolved return
-//!     and parameter summaries; catches the `_ms` value produced two
-//!     crates away and fed to a `_us` parameter.
-//! 11. **const-provenance** — every Table 1/Table 2 physical constant
-//!     has one home, `ff-device::consts`; a matching numeric literal
-//!     anywhere else in the simulation crates is a shadowed constant,
-//!     and the registry itself is cross-checked against the pinned
-//!     values.
-//! 12. **event-coverage** — every reachable device-state transition must
+//! 9. **const-provenance** — every Table 1/Table 2 physical constant
+//!    has one home, `ff-device::consts`; a matching numeric literal
+//!    anywhere else in the simulation crates is a shadowed constant,
+//!    and the registry itself is cross-checked against the pinned
+//!    values.
+//! 10. **event-coverage** — every reachable device-state transition must
 //!     be metered (`dwell`/`transition`) where it commits, the pinned
 //!     meter event names must exist, and `ff-sim` must still drain and
 //!     re-emit them as `DeviceTransition` record events.
@@ -58,17 +51,17 @@
 //! checking each machine and each line to proving the *composed*
 //! system model:
 //!
-//! 13. **fsm-product** — the explicit cross-product automaton of every
+//! 11. **fsm-product** — the explicit cross-product automaton of every
 //!     extracted machine (disk × WNIC × server path), exhaustively
 //!     explored: no simultaneous deadlock, no emergent-unreachable
 //!     tuple, every degraded server-path state recovers to healthy,
 //!     backoff ladders are clamped and bounded, and powered-off states
 //!     are only left through their power-up edge.
-//! 14. **nondet-taint** — interprocedural nondeterminism taint over a
+//! 12. **nondet-taint** — interprocedural nondeterminism taint over a
 //!     widened call graph: wall-clock reads, env access, and
 //!     unsanitised hash iteration may not flow — through any chain of
 //!     helpers — into `SimReport`, recorder output, or bench JSON.
-//! 15. **trace-conformance** — the committed observe/chaos JSONL
+//! 13. **trace-conformance** — the committed observe/chaos JSONL
 //!     traces replayed against the product model: every runtime
 //!     transition must be a static edge, and never-exercised static
 //!     edges surface as machine-readable coverage debt.
@@ -79,13 +72,20 @@
 //! a two-round function-summary fixpoint, seeded with the Table 1/2
 //! constants:
 //!
-//! 16. **arith-safety** — division-by-zero freedom, `as` casts the
+//! 14. **unit-flow** — the `_us`/`_ms`/`_s`, `_j` and `_bytes` suffix
+//!     dimensions propagated through let-bindings and, via the
+//!     summaries, across function boundaries: mixed-dimension
+//!     arithmetic and comparisons, mismatched call arguments, and
+//!     `let`s or returns contradicting their name's suffix are
+//!     findings, whether the dimension is spelled at the site or came
+//!     from a fn two crates away.
+//! 15. **arith-safety** — division-by-zero freedom, `as` casts the
 //!     inferred interval cannot prove lossless, and unchecked `+`/`*`
 //!     on `_bytes`/`_us` counters where `saturating_*` or the
 //!     `ff_base::checked` helpers exist.
-//! 17. **energy-bounds** — every `_j` accumulation provably ≥ 0 and
+//! 16. **energy-bounds** — every `_j` accumulation provably ≥ 0 and
 //!     battery `*drain*` functions monotone.
-//! 18. **timeout-order** — T_breakeven recomputed from the constant
+//! 17. **timeout-order** — T_breakeven recomputed from the constant
 //!     registry with interval arithmetic, statically ordered below the
 //!     disk idle timeout and above the WNIC PSM knee, with the
 //!     outage-retry ladder clamped and its clamp ceiling above the
@@ -104,7 +104,6 @@ pub mod callgraph;
 pub mod conformance;
 pub mod consts;
 pub mod coverage;
-pub mod dataflow;
 pub mod fsm;
 pub mod interval;
 pub mod items;
@@ -113,7 +112,6 @@ pub mod product;
 pub mod rules;
 pub mod scan;
 pub mod taint;
-pub mod units;
 
 pub use baseline::{Baseline, Delta};
 pub use rules::{Finding, Rule};
@@ -349,7 +347,7 @@ pub fn analyze(root: &Path) -> Result<Analysis> {
 /// Run every analysis wave over an already-collected source set.
 ///
 /// Split out from [`analyze`] so the mutation engine ([`mutgen`]) can
-/// re-run all eighteen families against in-memory mutated sources
+/// re-run all seventeen families against in-memory mutated sources
 /// without touching the filesystem (`root` is still needed by the
 /// trace-conformance pass, which replays committed JSONL traces).
 pub fn analyze_sources(sources: &[SourceFile], root: &Path) -> Analysis {
@@ -359,8 +357,6 @@ pub fn analyze_sources(sources: &[SourceFile], root: &Path) -> Analysis {
     findings.extend(callgraph::panic_reachability(sources, &trees, &graph));
     let (fsm_tables, fsm_findings) = fsm::analyze(sources, &trees);
     findings.extend(fsm_findings);
-    findings.extend(units::analyze(sources, &trees));
-    findings.extend(dataflow::analyze(sources, &trees));
     findings.extend(consts::analyze(sources));
     findings.extend(coverage::analyze(sources, &trees, &fsm_tables));
     let (product, product_findings) = product::analyze(sources, &fsm_tables);
@@ -401,7 +397,7 @@ pub fn collect_findings(root: &Path) -> Result<(Vec<Finding>, usize)> {
 /// let report = ff_lint::run(&root, &baseline).unwrap();
 ///
 /// assert!(report.files_scanned > 50, "scanned {}", report.files_scanned);
-/// // All eighteen families ran; nothing beyond the accepted ratchet.
+/// // All seventeen families ran; nothing beyond the accepted ratchet.
 /// assert!(report.delta.new.is_empty(), "{:?}", report.delta.new);
 /// ```
 pub fn run(root: &Path, baseline: &Baseline) -> Result<Report> {

@@ -115,7 +115,7 @@ OPTIONS:
                         (components, alphabet, reachability, recoveries)
     --killscore PATH    run the mutation engine instead of a plain scan:
                         apply every probe mutant in memory, re-run all
-                        eighteen families per mutant, write the per-family
+                        seventeen families per mutant, write the per-family
                         kill matrix to PATH and fail if any family's kill
                         rate is below its recorded floor
     --seed N            occurrence-selection seed for --killscore

@@ -21,7 +21,7 @@
 //!
 //! Each mutant is applied **in memory**: the file's raw text is edited
 //! at a needle occurrence (fixed, or derived from the seed when several
-//! occurrences exist), re-preprocessed, and the full eighteen-family
+//! occurrences exist), re-preprocessed, and the full seventeen-family
 //! analysis re-runs against the mutated source set. Mutants are never
 //! compiled — the lint is the system under test, not the compiler. A
 //! mutant is *killed* when the families the probe aims at all report
@@ -48,7 +48,7 @@ pub const DEFAULT_SEED: u64 = 0x00F1EE;
 /// Ratcheted minimum kill rate per family. Every family currently
 /// kills all of its probes; lowering a floor requires editing this
 /// table in the same commit that explains why.
-pub const FLOORS: [(Rule, f64); 18] = [
+pub const FLOORS: [(Rule, f64); 17] = [
     (Rule::Determinism, 1.0),
     (Rule::PanicSafety, 1.0),
     (Rule::PanicReach, 1.0),
@@ -58,7 +58,6 @@ pub const FLOORS: [(Rule, f64); 18] = [
     (Rule::ModelInvariants, 1.0),
     (Rule::Fsm, 1.0),
     (Rule::Hygiene, 1.0),
-    (Rule::UnitFlowInterproc, 1.0),
     (Rule::ConstProvenance, 1.0),
     (Rule::EventCoverage, 1.0),
     (Rule::ProductFsm, 1.0),
@@ -205,7 +204,7 @@ pub fn probes() -> Vec<Probe> {
                           span.as_micros().max(1_000_000); \
                           let span_us = span_us + cost_j;",
             occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::UnitFlowInterproc],
+            aimed: &[Rule::UnitFlow],
         },
         Probe {
             id: "standby-power-bump",

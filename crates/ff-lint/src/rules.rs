@@ -1,4 +1,4 @@
-//! The eighteen rule families.
+//! The seventeen rule families.
 //!
 //! Every rule emits [`Finding`]s keyed by `(rule, file, token)`. Line
 //! numbers are reported for humans but are *not* part of the baseline
@@ -23,8 +23,9 @@ pub enum Rule {
     /// Raw `as` numeric casts and `f64`-seconds leakage in device/sim
     /// hot paths where ff-base newtypes exist.
     UnitSafety,
-    /// Mixed time units flowing through let-bindings and call sites
-    /// (`_us` added to `_s`, microseconds passed to a seconds param).
+    /// Mixed dimensions (`_us`/`_ms`/`_s`, `_j`, `_bytes`) flowing
+    /// through let-bindings, call arguments, returns and fn summaries
+    /// (`_us` added to `_s`, an `_ms` result passed to a `_us` param).
     UnitFlow,
     /// `==`/`!=` against float literals.
     FloatEq,
@@ -36,10 +37,6 @@ pub enum Rule {
     Fsm,
     /// Work-marker inventory and lint-suppression audit.
     Hygiene,
-    /// Unit facts propagated *across* function calls through the
-    /// workspace call graph: mismatched arguments, returns, and
-    /// joule/byte dimension mixing the intra-procedural pass misses.
-    UnitFlowInterproc,
     /// Numeric literals that shadow a canonical Table 1/Table 2 constant
     /// instead of citing `ff_device::consts`, and drift between that
     /// module and the lint's pinned registry.
@@ -89,7 +86,6 @@ impl Rule {
             Rule::ModelInvariants => "model-invariants",
             Rule::Fsm => "fsm",
             Rule::Hygiene => "hygiene",
-            Rule::UnitFlowInterproc => "unit-flow-interproc",
             Rule::ConstProvenance => "const-provenance",
             Rule::EventCoverage => "event-coverage",
             Rule::ProductFsm => "fsm-product",
@@ -102,7 +98,7 @@ impl Rule {
     }
 
     /// All families, in report order.
-    pub fn all() -> [Rule; 18] {
+    pub fn all() -> [Rule; 17] {
         [
             Rule::Determinism,
             Rule::PanicSafety,
@@ -113,7 +109,6 @@ impl Rule {
             Rule::ModelInvariants,
             Rule::Fsm,
             Rule::Hygiene,
-            Rule::UnitFlowInterproc,
             Rule::ConstProvenance,
             Rule::EventCoverage,
             Rule::ProductFsm,

@@ -1,9 +1,9 @@
-//! Golden tests for the interprocedural unit-flow family across a
-//! crate boundary: a device crate exports functions whose signatures
-//! carry unit suffixes, and a simulator crate consumes them. The
-//! summaries are built over the whole workspace tree, so a millisecond
-//! value produced in one crate and spent as microseconds in another is
-//! visible even though no single file shows both suffixes.
+//! Golden tests for the unit-flow family across a crate boundary: a
+//! device crate exports functions whose signatures carry unit suffixes,
+//! and a simulator crate consumes them. The fn summaries are built over
+//! the whole workspace tree, so a millisecond value produced in one
+//! crate and spent as microseconds in another is visible even though no
+//! single file shows both suffixes.
 //!
 //! The sources are scanned, never compiled, so the snippets stay small.
 
@@ -26,7 +26,7 @@ impl Meter {
 
 /// Simulator crate: feeds the millisecond reading straight into the
 /// microsecond sink. Nothing in this file spells both units, so only
-/// the interprocedural pass can catch it.
+/// the fn summaries can catch it.
 const SIM_BAD: &str = "
 pub fn record_beacon(meter: &mut Meter) {
     let stamp = last_beacon_ms();
@@ -52,7 +52,8 @@ pub fn next_wakeup_us() -> u64 {
 ";
 
 fn temp_tree(name: &str, files: &[(&str, &str)]) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ff-lint-dataflow-{name}"));
+    let dir = std::env::temp_dir().join(format!("ff-lint-dataflow-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     for (rel, contents) in files {
         let path = dir.join(rel);
         if let Some(parent) = path.parent() {
@@ -63,19 +64,15 @@ fn temp_tree(name: &str, files: &[(&str, &str)]) -> PathBuf {
     dir
 }
 
-fn interproc_tokens(files: &[(&str, &str)], name: &str) -> Vec<String> {
+fn unit_flow_tokens(files: &[(&str, &str)], name: &str) -> Vec<String> {
     let dir = temp_tree(name, files);
     let analysis = analyze(&dir).expect("analyze");
     analysis
         .findings
         .iter()
-        .filter(|f| f.rule == Rule::UnitFlowInterproc)
+        .filter(|f| f.rule == Rule::UnitFlow)
         .map(|f| f.token.clone())
         .collect()
-}
-
-fn by_rule(findings: &[Finding], rule: Rule) -> usize {
-    findings.iter().filter(|f| f.rule == rule).count()
 }
 
 const DEVICE_PATH: &str = "crates/ff-device/src/meter.rs";
@@ -83,19 +80,19 @@ const SIM_PATH: &str = "crates/ff-sim/src/schedule.rs";
 
 #[test]
 fn millisecond_return_into_microsecond_method_across_crates() {
-    let tokens = interproc_tokens(&[(DEVICE_PATH, DEVICE), (SIM_PATH, SIM_BAD)], "cross-bad");
+    let tokens = unit_flow_tokens(&[(DEVICE_PATH, DEVICE), (SIM_PATH, SIM_BAD)], "cross-bad");
     assert_eq!(tokens, ["call:push_us"]);
 }
 
 #[test]
 fn rescaled_boundary_is_clean_across_crates() {
-    let tokens = interproc_tokens(&[(DEVICE_PATH, DEVICE), (SIM_PATH, SIM_GOOD)], "cross-good");
+    let tokens = unit_flow_tokens(&[(DEVICE_PATH, DEVICE), (SIM_PATH, SIM_GOOD)], "cross-good");
     assert_eq!(tokens, Vec::<String>::new());
 }
 
 #[test]
 fn cross_crate_return_contradiction_is_flagged() {
-    let tokens = interproc_tokens(
+    let tokens = unit_flow_tokens(
         &[(DEVICE_PATH, DEVICE), (SIM_PATH, SIM_BAD_RETURN)],
         "cross-ret",
     );
@@ -103,16 +100,16 @@ fn cross_crate_return_contradiction_is_flagged() {
 }
 
 #[test]
-fn cross_crate_defect_is_invisible_to_the_intraprocedural_family() {
-    // The old per-file pass keys on suffixes visible at the call site;
-    // the laundered flow above has none, so it must stay silent and the
-    // new family is the only detector. Guards the partition between the
-    // two families: neither double-reports the other's ground.
-    let dir = temp_tree(
-        "cross-partition",
-        &[(DEVICE_PATH, DEVICE), (SIM_PATH, SIM_BAD)],
-    );
+fn cross_crate_defect_is_reported_exactly_once() {
+    // One engine judges every dimension mismatch: the laundered flow
+    // above is one finding in one family, never a second copy elsewhere.
+    let dir = temp_tree("cross-once", &[(DEVICE_PATH, DEVICE), (SIM_PATH, SIM_BAD)]);
     let analysis = analyze(&dir).expect("analyze");
-    assert_eq!(by_rule(&analysis.findings, Rule::UnitFlow), 0);
-    assert_eq!(by_rule(&analysis.findings, Rule::UnitFlowInterproc), 1);
+    let reports: Vec<&Finding> = analysis
+        .findings
+        .iter()
+        .filter(|f| f.token == "call:push_us")
+        .collect();
+    assert_eq!(reports.len(), 1, "{reports:?}");
+    assert_eq!(reports[0].rule, Rule::UnitFlow);
 }

@@ -6,7 +6,7 @@
 //! changed shape and covered only six families. The engine replaces
 //! them: deterministic, seed-derived mutants (operator flips, constant
 //! perturbations, guard removals, transition drops) are applied to the
-//! real workspace sources *in memory*, all eighteen families re-run per
+//! real workspace sources *in memory*, all seventeen families re-run per
 //! mutant, and a mutant counts as killed only when every family it was
 //! aimed at reports a finding beyond the committed baseline.
 //!
@@ -62,7 +62,7 @@ fn every_family_has_a_probe_and_meets_its_floor() {
     assert!(matrix.floor_violations().is_empty());
 }
 
-/// The three wave-4 families must be killed at exactly 100 % — they are
+/// The three interval families of wave 4 must be killed at exactly 100 % — they are
 /// new and carry no grandfathered debt.
 #[test]
 fn wave4_families_kill_all_their_probes() {

@@ -16,7 +16,8 @@ const PANIC_REACH: &str = include_str!("fixtures/panic_reach.rs");
 const UNIT_MIX: &str = include_str!("fixtures/unit_mix.rs");
 
 fn temp_tree(name: &str, files: &[(&str, &str)]) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ff-lint-semantic-{name}"));
+    let dir = std::env::temp_dir().join(format!("ff-lint-semantic-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     for (rel, contents) in files {
         let path = dir.join(rel);
         if let Some(parent) = path.parent() {

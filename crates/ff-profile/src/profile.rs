@@ -310,7 +310,8 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("ff_profile_test");
+        let dir = std::env::temp_dir().join(format!("ff_profile_test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("p.json");
         let p = Profile {

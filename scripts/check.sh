@@ -72,27 +72,6 @@ handbook_step() {
     fi && cargo run -q -p ff-book -- check docs
 }
 
-# The mutation engine's ratchet gate: regenerate the kill-score matrix
-# at the committed seed and fail when any family's kill rate falls
-# below its recorded floor (the binary exits non-zero on a violation)
-# or when the fresh matrix differs from the committed one in
-# crates/ff-lint/killscore.json. The fresh matrix lands in results/ so
-# CI can upload it next to the product automaton.
-killscore_step() {
-    mkdir -p results
-    if ! cargo run -q -p ff-lint -- --killscore results/lint-killscore.json; then
-        echo "error: a rule family's mutation kill rate fell below its" >&2
-        echo "       recorded floor; see results/lint-killscore.json" >&2
-        return 1
-    fi
-    if ! cmp -s results/lint-killscore.json crates/ff-lint/killscore.json; then
-        echo "error: crates/ff-lint/killscore.json is stale; regenerate with" >&2
-        echo "       'cargo run -p ff-lint -- --killscore crates/ff-lint/killscore.json'" >&2
-        return 1
-    fi
-    echo "    kill matrix: results/lint-killscore.json (= crates/ff-lint/killscore.json)"
-}
-
 # The parallel sweep engine's acceptance gate: the full benchsim grid
 # serially vs on 8 workers must serialise byte-identically (benchpar
 # exits non-zero otherwise), with the honest speedup recorded in
@@ -106,30 +85,51 @@ parallel_step() {
         --out results/BENCH_parallel.json
 }
 
+# Every deterministic committed artifact, regenerated from the current
+# source into a scratch directory and compared byte for byte with the
+# committed copy under results/ and bench/. bench/BENCH_parallel.json
+# records wall-clock timings and is not compared. A stale file is
+# refreshed by rerunning its ff-bench binary with the repo as output.
+artifacts_step() {
+    cargo build --release -q -p ff-bench --bins || return 1
+    local bin out name f status=0
+    bin="$(pwd)/target/release"
+    out="$(mktemp -d)"
+    mkdir -p "$out/results" "$out/bench"
+    for name in ablation design_space evolution extensions fig1 fig2 fig3 fig4 fig5 \
+        regret robustness spindown tables trace_stats; do
+        "$bin/$name" > "$out/results/$name.txt" || status=1
+    done
+    "$bin/powertrace" > "$out/results/powertrace_mplayer_flexfetch.csv" || status=1
+    (cd "$out" && "$bin/figures_svg" > /dev/null) || status=1
+    "$bin/benchsim" --out "$out/bench/BENCH_sim.json" > /dev/null || status=1
+    "$bin/benchfaults" --out "$out/bench/BENCH_faults.json" > /dev/null || status=1
+    "$bin/observe" --workload grep --policy flexfetch --out-dir "$out/bench" > /dev/null ||
+        status=1
+    "$bin/chaostrace" --out-dir "$out/bench" > /dev/null || status=1
+    for f in $(git ls-files results bench); do
+        [[ "$f" == bench/BENCH_parallel.json ]] && continue
+        if ! cmp -s "$out/$f" "$f"; then
+            echo "error: $f differs from a fresh regeneration" >&2
+            status=1
+        fi
+    done
+    rm -rf "$out"
+    return "$status"
+}
+
 run_step "cargo fmt --all --check" cargo fmt --all --check
 run_step "ff-lint (ratchet vs crates/ff-lint/baseline.json)" lint_step
 run_step "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)" doc_step
 run_step "cargo build --release" cargo build --release
-run_step "cargo test -q" cargo test -q
-# The chaos suite already runs inside `cargo test -q`; naming it as its
-# own step keeps a visible, independently-failing signal for the
-# fault-injection robustness contract (DESIGN.md §12).
-run_step "chaos suite (fault-injection invariants)" cargo test -q --test chaos
-# Same pattern for the static<->dynamic conformance contract (DESIGN.md
-# §13): the committed bench traces must replay clean against the
-# extracted machines, with every static edge exercised.
-run_step "trace conformance (static<->dynamic replay)" \
-    cargo test -q --test lint committed_traces_conform
-# The abstract-interpretation engine's own gate: golden interval facts
-# plus the proptest soundness law (concrete evaluation always lands
-# inside the inferred interval).
-run_step "absint (golden interval facts + proptest soundness)" \
-    cargo test -q --test absint
-run_step "mutation-killscore (kill-rate ratchet vs recorded floors)" killscore_step
-# The doctests are the handbook's executable walkthroughs (FaultPlan,
-# run_recorded, the sweep grid, the lint driver); `cargo test -q` above
-# already ran them, but a doc regression should be its own red line.
-run_step "doctests (cargo test --doc)" cargo test -q --doc --workspace
+# The whole workspace: every crate's unit, integration and doc tests,
+# including the chaos suite, trace conformance, the absint golden and
+# soundness tests, and ff-lint's mutation suite (whose
+# committed_matrix_matches_a_fresh_run keeps
+# crates/ff-lint/killscore.json equal to a fresh run at the committed
+# seed, with every family at its floor).
+run_step "cargo test -q --workspace" cargo test -q --workspace
+run_step "committed artifacts (regenerated byte-identically)" artifacts_step
 run_step "handbook (mdbook-or-ff-book build + link check)" handbook_step
 run_step "parallel-determinism (benchpar: jobs=1 vs jobs=8 byte-identical)" parallel_step
 

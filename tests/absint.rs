@@ -93,7 +93,8 @@ fn golden_unknown_calls_are_top() {
 // ---------------------------------------------------------------------
 
 fn fixture_tree() -> PathBuf {
-    let dir = std::env::temp_dir().join("ff-absint-golden");
+    let dir = std::env::temp_dir().join(format!("ff-absint-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let src = dir.join("crates/ff-sim/src");
     std::fs::create_dir_all(&src).expect("mkdir");
     std::fs::write(

@@ -48,7 +48,8 @@ fn small_run_reports_every_policy() {
 
 #[test]
 fn artefacts_round_trip_through_the_cli() {
-    let dir = std::env::temp_dir().join("flexsim-cli-test");
+    let dir = std::env::temp_dir().join(format!("flexsim-cli-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let trace_path = dir.join("t.trace");
     let profile_path = dir.join("p.json");

@@ -112,11 +112,11 @@ fn fsm_family_is_pinned_at_zero() {
 
 #[test]
 fn semantic_families_are_pinned_at_zero() {
-    // The second, third and fourth semantic waves — interprocedural
-    // unit flow, constant provenance, event coverage, the product-state
-    // checker, nondeterminism taint, trace conformance, and the three
-    // abstract-interpretation families (arithmetic safety, energy
-    // bounds, timeout ordering) — started life with no accepted debt,
+    // The second, third and fourth semantic waves — constant
+    // provenance, event coverage, the product-state checker,
+    // nondeterminism taint, trace conformance, and the four
+    // abstract-interpretation families (unit flow, arithmetic safety,
+    // energy bounds, timeout ordering) — have no accepted debt,
     // and this gate keeps it that way: empty in the baseline AND empty
     // in the tree, so any regression fails tier-1 rather than
     // ratcheting.
@@ -124,7 +124,7 @@ fn semantic_families_are_pinned_at_zero() {
     let baseline = committed_baseline(&root);
     let (findings, _) = ff_lint::collect_findings(&root).expect("scan succeeds");
     for rule in [
-        Rule::UnitFlowInterproc,
+        Rule::UnitFlow,
         Rule::ConstProvenance,
         Rule::EventCoverage,
         Rule::ProductFsm,
@@ -247,7 +247,8 @@ fn committed_traces_conform_to_the_static_model() {
 
 /// Materialise a minimal fake workspace containing one seeded violation.
 fn seeded_violation_tree(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ff-lint-seed-{name}"));
+    let dir = std::env::temp_dir().join(format!("ff-lint-seed-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let src = dir.join("crates/ff-sim/src");
     std::fs::create_dir_all(&src).expect("mkdir");
     std::fs::write(
@@ -321,8 +322,12 @@ fn cli_exits_zero_on_the_clean_workspace() {
             .any(|r| r.get("rule").and_then(|v| v.as_str()) == Some("panic-reachability")),
         "missing panic-reachability family in: {text}"
     );
-    // Wave 4: eighteen families, plus the product and conformance nodes.
-    assert_eq!(by_rule.len(), 18, "expected eighteen rule families: {text}");
+    // Wave 4: seventeen families, plus the product and conformance nodes.
+    assert_eq!(
+        by_rule.len(),
+        17,
+        "expected seventeen rule families: {text}"
+    );
     let product = doc.get("product").expect("product node");
     assert_eq!(
         product.get("states").and_then(|v| v.as_u64()),
@@ -339,7 +344,8 @@ fn cli_exits_zero_on_the_clean_workspace() {
 
 #[test]
 fn cli_writes_sarif_and_product_exports() {
-    let dir = std::env::temp_dir().join("ff-lint-cli-exports");
+    let dir = std::env::temp_dir().join(format!("ff-lint-cli-exports-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     let sarif_path = dir.join("lint.sarif");
     let product_path = dir.join("fsm-product.json");
