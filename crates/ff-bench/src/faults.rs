@@ -14,6 +14,7 @@ use crate::observe::{build_policy, build_workload, ObservedRun};
 use crate::pool;
 use ff_base::json::Value;
 use ff_base::{Dur, Error, Result};
+use ff_device::Transition;
 use ff_sim::{EventLog, FaultPlan, ProfileFaultMode, SimConfig, Simulation};
 use ff_trace::Trace;
 
@@ -200,8 +201,8 @@ pub fn check_invariants(trace: &Trace, run: &ObservedRun) -> Vec<String> {
         format!("total energy {} != sum of parts {parts}", r.total_energy()),
     );
 
-    let ups = r.disk_meter.transition_count("spin_up");
-    let downs = r.disk_meter.transition_count("spin_down");
+    let ups = r.disk_meter.transition_count(Transition::SpinUp);
+    let downs = r.disk_meter.transition_count(Transition::SpinDown);
     check(
         ups.abs_diff(downs) <= 1,
         format!("disk FSM illegal: {ups} spin-ups vs {downs} spin-downs"),

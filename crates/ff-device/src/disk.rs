@@ -23,7 +23,7 @@
 //! (DESIGN.md §9 and §10).
 
 use crate::consts;
-use crate::meter::StateMeter;
+use crate::meter::{PowerState, StateMeter, Transition};
 use crate::model::{DeviceRequest, PowerModel, ServiceOutcome};
 use ff_base::{BytesPerSec, Dur, Joules, SimTime, Watts};
 
@@ -172,24 +172,9 @@ impl DiskModel {
         self.state
     }
 
-    /// Per-state meter.
-    pub fn meter(&self) -> &StateMeter {
-        &self.meter
-    }
-
-    /// Forget sequentiality (e.g. after another program used the disk).
-    pub fn clear_sequential_hint(&mut self) {
-        self.next_seq_block = None;
-    }
-
     /// Reset energy accounting but keep power state and clock.
     pub fn reset_meter(&mut self) {
         self.meter.reset();
-    }
-
-    /// Record a chronological power log (see [`StateMeter::power_log`]).
-    pub fn enable_power_log(&mut self) {
-        self.meter.enable_log();
     }
 
     /// Record timestamped state changes for the observability recorder
@@ -203,6 +188,13 @@ impl DiskModel {
     /// [`StateMeter::take_state_changes`]).
     pub fn take_state_changes(&mut self) -> Vec<crate::meter::StateChange> {
         self.meter.take_state_changes()
+    }
+
+    /// Meter `d` in `state` at `power` and move the clock past it.
+    fn dwell(&mut self, state: PowerState, power: Watts, d: Dur) -> Joules {
+        self.meter.dwell(state, power, d);
+        self.clock += d;
+        power * d
     }
 
     /// Head-positioning cost class for `req` given the previous position.
@@ -229,42 +221,40 @@ impl PowerModel for DiskModel {
                 DiskState::Idle => {
                     let deadline = self.idle_since + self.params.timeout;
                     if now < deadline {
-                        self.meter
-                            .dwell("idle", self.params.idle_power, now - self.clock);
-                        self.clock = now;
+                        self.dwell(PowerState::Idle, self.params.idle_power, now - self.clock);
                     } else {
                         // Dwell idle up to the timeout, then start the
                         // spin-down. Transition energy is booked up front;
                         // the transient dwells at 0 W to record residency.
                         if self.clock < deadline {
-                            self.meter
-                                .dwell("idle", self.params.idle_power, deadline - self.clock);
-                            self.clock = deadline;
+                            self.dwell(
+                                PowerState::Idle,
+                                self.params.idle_power,
+                                deadline - self.clock,
+                            );
                         }
                         self.meter
-                            .transition("spin_down", self.params.spindown_energy);
+                            .transition(Transition::SpinDown, self.params.spindown_energy);
                         self.state = DiskState::SpinningDown(deadline + self.params.spindown_time);
                     }
                 }
                 DiskState::SpinningDown(until) => {
                     let end = until.min(now);
-                    self.meter
-                        .dwell("spinning_down", Watts::ZERO, end - self.clock);
-                    self.clock = end;
+                    self.dwell(PowerState::SpinningDown, Watts::ZERO, end - self.clock);
                     if end == until {
                         self.state = DiskState::Standby;
                     }
                 }
                 DiskState::Standby => {
-                    self.meter
-                        .dwell("standby", self.params.standby_power, now - self.clock);
-                    self.clock = now;
+                    self.dwell(
+                        PowerState::Standby,
+                        self.params.standby_power,
+                        now - self.clock,
+                    );
                 }
                 DiskState::SpinningUp(until) => {
                     let end = until.min(now);
-                    self.meter
-                        .dwell("spinning_up", Watts::ZERO, end - self.clock);
-                    self.clock = end;
+                    self.dwell(PowerState::SpinningUp, Watts::ZERO, end - self.clock);
                     if end == until {
                         self.state = DiskState::Idle;
                         self.idle_since = until;
@@ -292,7 +282,8 @@ impl PowerModel for DiskModel {
         }
         // Wake from standby.
         if self.state == DiskState::Standby {
-            self.meter.transition("spin_up", self.params.spinup_energy);
+            self.meter
+                .transition(Transition::SpinUp, self.params.spinup_energy);
             request_energy += self.params.spinup_energy;
             let until = self.clock + self.params.spinup_time;
             self.state = DiskState::SpinningUp(until);
@@ -301,9 +292,7 @@ impl PowerModel for DiskModel {
         debug_assert_eq!(self.state, DiskState::Idle);
 
         let svc = self.positioning(req) + self.params.bandwidth.transfer_time(req.bytes);
-        self.meter.dwell("active", self.params.active_power, svc);
-        request_energy += self.params.active_power * svc;
-        self.clock += svc;
+        request_energy += self.dwell(PowerState::Active, self.params.active_power, svc);
         self.state = DiskState::Idle;
         self.idle_since = self.clock;
         self.next_seq_block = req.block.map(|b| b + req.bytes.pages().max(1));
@@ -320,8 +309,8 @@ impl PowerModel for DiskModel {
         probe.service(now, req)
     }
 
-    fn energy(&self) -> Joules {
-        self.meter.total()
+    fn meter(&self) -> &StateMeter {
+        &self.meter
     }
 
     fn clock(&self) -> SimTime {
@@ -384,8 +373,11 @@ mod tests {
         assert_eq!(d.state(), DiskState::Standby);
         let expect = 32.0 + 2.94 + (60.0 - 20.0 - 2.3) * 0.15;
         assert!((d.energy().get() - expect).abs() < EPS, "{}", d.energy());
-        assert_eq!(d.meter().transition_count("spin_down"), 1);
-        assert_eq!(d.meter().time_in("spinning_down"), Dur::from_millis(2_300));
+        assert_eq!(d.meter().transition_count(Transition::SpinDown), 1);
+        assert_eq!(
+            d.meter().time_in(PowerState::SpinningDown),
+            Dur::from_millis(2_300)
+        );
     }
 
     #[test]
@@ -458,7 +450,7 @@ mod tests {
         assert!(out.service_time >= Dur::from_millis(1_620));
         assert!(out.service_time < Dur::from_millis(1_630));
         assert!(out.energy.get() > 5.0, "must include the 5 J spin-up");
-        assert_eq!(d.meter().transition_count("spin_up"), 1);
+        assert_eq!(d.meter().transition_count(Transition::SpinUp), 1);
         assert_eq!(d.state(), DiskState::Idle);
     }
 
@@ -474,8 +466,8 @@ mod tests {
         );
         // Wait 1.3 s for spin-down, then 1.6 s spin-up, then service.
         assert!(out.service_time >= Dur::from_millis(2_900));
-        assert_eq!(d.meter().transition_count("spin_down"), 1);
-        assert_eq!(d.meter().transition_count("spin_up"), 1);
+        assert_eq!(d.meter().transition_count(Transition::SpinDown), 1);
+        assert_eq!(d.meter().transition_count(Transition::SpinUp), 1);
     }
 
     #[test]
@@ -486,7 +478,7 @@ mod tests {
             let out = d.service(t, &DeviceRequest::read(Bytes::kib(64), Some(i * 1000)));
             t = out.complete + Dur::from_secs(5); // within the 20 s timeout
         }
-        assert_eq!(d.meter().transition_count("spin_down"), 0);
+        assert_eq!(d.meter().transition_count(Transition::SpinDown), 0);
     }
 
     #[test]

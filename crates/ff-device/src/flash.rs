@@ -9,9 +9,9 @@
 //! Flash implements the same [`PowerModel`] contract as the disk and the
 //! WNIC, so the simulator meters it identically.
 
-use crate::meter::StateMeter;
+use crate::meter::{PowerState, StateMeter};
 use crate::model::{DeviceRequest, Dir, PowerModel, ServiceOutcome};
-use ff_base::{BytesPerSec, Dur, Joules, SimTime, Watts};
+use ff_base::{BytesPerSec, Dur, SimTime, Watts};
 
 /// Flash device constants. Defaults model a 2007 CompactFlash card
 /// (the SmartSaver substrate).
@@ -75,16 +75,6 @@ impl FlashModel {
         &self.params
     }
 
-    /// Per-state meter.
-    pub fn meter(&self) -> &StateMeter {
-        &self.meter
-    }
-
-    /// Record a chronological power log.
-    pub fn enable_power_log(&mut self) {
-        self.meter.enable_log();
-    }
-
     /// Record timestamped state changes for the observability recorder
     /// (see [`StateMeter::enable_state_log`]).
     pub fn enable_state_log(&mut self) {
@@ -101,8 +91,11 @@ impl FlashModel {
 impl PowerModel for FlashModel {
     fn advance_to(&mut self, now: SimTime) {
         if now > self.clock {
-            self.meter
-                .dwell("flash_idle", self.params.idle_power, now - self.clock);
+            self.meter.dwell(
+                PowerState::FlashIdle,
+                self.params.idle_power,
+                now - self.clock,
+            );
             self.clock = now;
         }
     }
@@ -111,8 +104,16 @@ impl PowerModel for FlashModel {
         let arrival = now.max(self.clock);
         self.advance_to(arrival);
         let (bw, power, state) = match req.dir {
-            Dir::Read => (self.params.read_bw, self.params.read_power, "flash_read"),
-            Dir::Write => (self.params.write_bw, self.params.write_power, "flash_write"),
+            Dir::Read => (
+                self.params.read_bw,
+                self.params.read_power,
+                PowerState::FlashRead,
+            ),
+            Dir::Write => (
+                self.params.write_bw,
+                self.params.write_power,
+                PowerState::FlashWrite,
+            ),
         };
         let svc = self.params.access + bw.transfer_time(req.bytes);
         self.meter.dwell(state, power, svc);
@@ -129,8 +130,8 @@ impl PowerModel for FlashModel {
         probe.service(now, req)
     }
 
-    fn energy(&self) -> Joules {
-        self.meter.total()
+    fn meter(&self) -> &StateMeter {
+        &self.meter
     }
 
     fn clock(&self) -> SimTime {

@@ -22,7 +22,7 @@
 
 //! ```
 //! use ff_base::{Bytes, SimTime};
-//! use ff_device::{DeviceRequest, DiskModel, DiskParams, PowerModel};
+//! use ff_device::{DeviceRequest, DiskModel, DiskParams, PowerModel, Transition};
 //!
 //! // Service one 64 KiB read on an idle DK23DA and meter it.
 //! let mut disk = DiskModel::new(DiskParams::hitachi_dk23da());
@@ -34,7 +34,7 @@
 //! // Left alone past the 20 s timeout, it spins down to standby.
 //! disk.advance_to(SimTime::from_secs(60));
 //! assert!(!disk.is_ready());
-//! assert_eq!(disk.meter().transition_count("spin_down"), 1);
+//! assert_eq!(disk.meter().transition_count(Transition::SpinDown), 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -49,7 +49,7 @@ pub mod wnic;
 
 pub use disk::{DiskModel, DiskParams, DiskState};
 pub use flash::{FlashModel, FlashParams};
-pub use meter::{PowerEvent, StateChange, StateMeter};
+pub use meter::{PowerState, StateChange, StateMeter, Transition};
 pub use model::{DeviceRequest, Dir, PowerModel, ServiceOutcome};
 pub use spindown::ShareSpindown;
 pub use wnic::{WnicModel, WnicParams, WnicState};

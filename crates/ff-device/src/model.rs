@@ -1,5 +1,6 @@
 //! The device abstraction shared by disk and WNIC.
 
+use crate::meter::StateMeter;
 use ff_base::{Bytes, Dur, Joules, SimTime};
 
 /// Transfer direction of a device request.
@@ -78,9 +79,14 @@ pub trait PowerModel {
     /// simulator both use this).
     fn estimate(&self, now: SimTime, req: &DeviceRequest) -> ServiceOutcome;
 
+    /// The per-state ledger every dwell and transition is charged to.
+    fn meter(&self) -> &StateMeter;
+
     /// Total energy consumed since construction or the last meter reset,
     /// *including* idle/standby energy up to the model's current clock.
-    fn energy(&self) -> Joules;
+    fn energy(&self) -> Joules {
+        self.meter().total()
+    }
 
     /// The model's current clock (last instant accounted).
     fn clock(&self) -> SimTime;

@@ -28,7 +28,7 @@
 //! (DESIGN.md §9 and §10).
 
 use crate::consts;
-use crate::meter::StateMeter;
+use crate::meter::{PowerState, StateMeter, Transition};
 use crate::model::{DeviceRequest, Dir, PowerModel, ServiceOutcome};
 use ff_base::{BytesPerSec, Dur, Joules, SimTime, Watts};
 
@@ -169,19 +169,9 @@ impl WnicModel {
         self.state
     }
 
-    /// Per-state meter.
-    pub fn meter(&self) -> &StateMeter {
-        &self.meter
-    }
-
     /// Reset energy accounting but keep mode and clock.
     pub fn reset_meter(&mut self) {
         self.meter.reset();
-    }
-
-    /// Record a chronological power log (see [`StateMeter::power_log`]).
-    pub fn enable_power_log(&mut self) {
-        self.meter.enable_log();
     }
 
     /// Record timestamped state changes for the observability recorder
@@ -203,9 +193,11 @@ impl WnicModel {
         self.params.bandwidth = bandwidth;
     }
 
-    /// Change the server round-trip latency mid-run.
-    pub fn set_latency(&mut self, latency: Dur) {
-        self.params.latency = latency;
+    /// Meter `d` in `state` at `power` and move the clock past it.
+    fn dwell(&mut self, state: PowerState, power: Watts, d: Dur) -> Joules {
+        self.meter.dwell(state, power, d);
+        self.clock += d;
+        power * d
     }
 
     fn transfer_power(&self, dir: Dir, cam: bool) -> Watts {
@@ -225,40 +217,33 @@ impl PowerModel for WnicModel {
                 WnicState::Cam => {
                     let deadline = self.idle_since + self.params.psm_timeout;
                     if now < deadline {
-                        self.meter
-                            .dwell("cam_idle", self.params.cam_idle, now - self.clock);
-                        self.clock = now;
+                        self.dwell(PowerState::CamIdle, self.params.cam_idle, now - self.clock);
                     } else {
                         if self.clock < deadline {
-                            self.meter.dwell(
-                                "cam_idle",
+                            self.dwell(
+                                PowerState::CamIdle,
                                 self.params.cam_idle,
                                 deadline - self.clock,
                             );
-                            self.clock = deadline;
                         }
                         self.meter
-                            .transition("cam_to_psm", self.params.to_psm_energy);
+                            .transition(Transition::CamToPsm, self.params.to_psm_energy);
                         self.state = WnicState::ToPsm(deadline + self.params.to_psm_time);
                     }
                 }
                 WnicState::ToPsm(until) => {
                     let end = until.min(now);
-                    self.meter.dwell("switching", Watts::ZERO, end - self.clock);
-                    self.clock = end;
+                    self.dwell(PowerState::Switching, Watts::ZERO, end - self.clock);
                     if end == until {
                         self.state = WnicState::Psm;
                     }
                 }
                 WnicState::Psm => {
-                    self.meter
-                        .dwell("psm_idle", self.params.psm_idle, now - self.clock);
-                    self.clock = now;
+                    self.dwell(PowerState::PsmIdle, self.params.psm_idle, now - self.clock);
                 }
                 WnicState::ToCam(until) => {
                     let end = until.min(now);
-                    self.meter.dwell("switching", Watts::ZERO, end - self.clock);
-                    self.clock = end;
+                    self.dwell(PowerState::Switching, Watts::ZERO, end - self.clock);
                     if end == until {
                         self.state = WnicState::Cam;
                         self.idle_since = until;
@@ -290,25 +275,18 @@ impl PowerModel for WnicModel {
             // interval of PSM-idle wait on average, then latency and
             // transfer at PSM transfer power.
             let wait = self.params.beacon_interval / 2;
-            self.meter.dwell("psm_idle", self.params.psm_idle, wait);
-            request_energy += self.params.psm_idle * wait;
-            self.clock += wait;
-
-            self.meter
-                .dwell("psm_idle", self.params.psm_idle, self.params.latency);
-            request_energy += self.params.psm_idle * self.params.latency;
-            self.clock += self.params.latency;
+            request_energy += self.dwell(PowerState::PsmIdle, self.params.psm_idle, wait);
+            let latency = self.params.latency;
+            request_energy += self.dwell(PowerState::PsmIdle, self.params.psm_idle, latency);
 
             let transfer = self.params.bandwidth.transfer_time(req.bytes);
             let p = self.transfer_power(req.dir, false);
-            self.meter.dwell("psm_transfer", p, transfer);
-            request_energy += p * transfer;
-            self.clock += transfer;
+            request_energy += self.dwell(PowerState::PsmTransfer, p, transfer);
             // Remains in PSM.
         } else {
             if self.state == WnicState::Psm {
                 self.meter
-                    .transition("psm_to_cam", self.params.to_cam_energy);
+                    .transition(Transition::PsmToCam, self.params.to_cam_energy);
                 request_energy += self.params.to_cam_energy;
                 let until = self.clock + self.params.to_cam_time;
                 self.state = WnicState::ToCam(until);
@@ -317,16 +295,12 @@ impl PowerModel for WnicModel {
             debug_assert_eq!(self.state, WnicState::Cam);
 
             // Round-trip to the server at CAM idle power.
-            self.meter
-                .dwell("cam_idle", self.params.cam_idle, self.params.latency);
-            request_energy += self.params.cam_idle * self.params.latency;
-            self.clock += self.params.latency;
+            let latency = self.params.latency;
+            request_energy += self.dwell(PowerState::CamIdle, self.params.cam_idle, latency);
 
             let transfer = self.params.bandwidth.transfer_time(req.bytes);
             let p = self.transfer_power(req.dir, true);
-            self.meter.dwell("cam_transfer", p, transfer);
-            request_energy += p * transfer;
-            self.clock += transfer;
+            request_energy += self.dwell(PowerState::CamTransfer, p, transfer);
             self.idle_since = self.clock;
         }
 
@@ -342,8 +316,8 @@ impl PowerModel for WnicModel {
         probe.service(now, req)
     }
 
-    fn energy(&self) -> Joules {
-        self.meter.total()
+    fn meter(&self) -> &StateMeter {
+        &self.meter
     }
 
     fn clock(&self) -> SimTime {
@@ -398,7 +372,7 @@ mod tests {
         // 0.8 s CAM idle + switch 0.53 J + (10 − 0.8 − 0.41) s PSM.
         let expect = 1.41 * 0.8 + 0.53 + 0.39 * (10.0 - 0.8 - 0.41);
         assert!((w.energy().get() - expect).abs() < EPS, "{}", w.energy());
-        assert_eq!(w.meter().transition_count("cam_to_psm"), 1);
+        assert_eq!(w.meter().transition_count(Transition::CamToPsm), 1);
     }
 
     #[test]
@@ -414,7 +388,7 @@ mod tests {
         );
         assert!(out.energy.get() > 0.51);
         assert_eq!(w.state(), WnicState::Cam);
-        assert_eq!(w.meter().transition_count("psm_to_cam"), 1);
+        assert_eq!(w.meter().transition_count(Transition::PsmToCam), 1);
     }
 
     #[test]
@@ -422,7 +396,7 @@ mod tests {
         let mut w = wnic();
         let out = w.service(SimTime::ZERO, &DeviceRequest::read(Bytes(1200), None));
         assert_eq!(w.state(), WnicState::Psm, "stays in PSM for one packet");
-        assert_eq!(w.meter().transition_count("psm_to_cam"), 0);
+        assert_eq!(w.meter().transition_count(Transition::PsmToCam), 0);
         // Waits up to half a beacon (50 ms) + latency + ~0.9 ms transfer.
         assert!(out.service_time >= Dur::from_millis(50));
         assert!(out.service_time < Dur::from_millis(60));
@@ -437,7 +411,7 @@ mod tests {
             &DeviceRequest::read(Bytes::kib(64), None),
         );
         assert_eq!(
-            w.meter().transition_count("psm_to_cam"),
+            w.meter().transition_count(Transition::PsmToCam),
             1,
             "only the first pays"
         );
@@ -453,8 +427,8 @@ mod tests {
             t = out.complete + Dur::from_secs(3); // far beyond the 800 ms timeout
         }
         w.advance_to(t); // let the final CAM stretch time out too
-        assert_eq!(w.meter().transition_count("psm_to_cam"), 5);
-        assert_eq!(w.meter().transition_count("cam_to_psm"), 5);
+        assert_eq!(w.meter().transition_count(Transition::PsmToCam), 5);
+        assert_eq!(w.meter().transition_count(Transition::CamToPsm), 5);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! consistency laws that must hold for any request schedule.
 
 use ff_base::{Bytes, Dur, Joules, SimTime};
-use ff_device::{DeviceRequest, Dir, DiskModel, DiskParams, PowerModel, WnicModel, WnicParams};
+use ff_device::{
+    DeviceRequest, Dir, DiskModel, DiskParams, PowerModel, Transition, WnicModel, WnicParams,
+};
 use proptest::prelude::*;
 
 /// A random schedule: (gap to next arrival in ms, bytes, read?, block).
@@ -139,8 +141,8 @@ proptest! {
             t = out.complete;
         }
         wnic.advance_to(t + Dur::from_secs(10));
-        let up = wnic.meter().transition_count("psm_to_cam");
-        let down = wnic.meter().transition_count("cam_to_psm");
+        let up = wnic.meter().transition_count(Transition::PsmToCam);
+        let down = wnic.meter().transition_count(Transition::CamToPsm);
         prop_assert!(up.abs_diff(down) <= 1, "unbalanced transitions: {up} up vs {down} down");
     }
 

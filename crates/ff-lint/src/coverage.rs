@@ -12,10 +12,13 @@
 //!    [`FsmTable`] must sit within a few lines of a `.dwell(` /
 //!    `.transition(` meter call in the same fn, i.e. the state change is
 //!    accounted before (or as) it happens;
-//! 2. **naming** — the required machines must emit the pinned meter
-//!    transition names (`spin_down`/`spin_up`, `cam_to_psm`/
-//!    `psm_to_cam`) that downstream recorders and the bench export key
-//!    on;
+//! 2. **naming** — every variant of ff-device's meter `Transition` enum
+//!    (read from the item tree, so the names live in one place) must be
+//!    fired by a `.transition(Transition::…` call in non-test ff-device
+//!    code outside the file declaring it. The compiler already rejects a
+//!    misspelt name; this leg catches a transition no model fires any
+//!    more, whose events downstream recorders and the power trace would
+//!    silently lose;
 //! 3. **wiring** — when `ff-sim` is in the scanned tree, its `Event`
 //!    enum must still declare the `DeviceState`/`DeviceTransition`
 //!    variants, some simulator code must drain the meters
@@ -26,7 +29,7 @@
 //! deleting the plumbing it audits is itself a finding, never a silent
 //! pass.
 
-use crate::fsm::{FsmTable, EXPECTED_METER_NAMES};
+use crate::fsm::FsmTable;
 use crate::items::ItemTree;
 use crate::rules::{Finding, Rule};
 use crate::scan::{FileKind, SourceFile};
@@ -44,7 +47,7 @@ pub fn analyze(sources: &[SourceFile], trees: &[ItemTree], tables: &[FsmTable]) 
     for table in tables {
         check_recording(sources, trees, table, &mut out);
     }
-    check_meter_names(sources, tables, &mut out);
+    check_meter_names(sources, trees, &mut out);
     check_sim_wiring(sources, trees, &mut out);
     out
 }
@@ -102,39 +105,40 @@ fn check_recording(
     }
 }
 
-/// Leg 2: the required machines must emit the pinned meter transition
-/// names. Only checked when the machine was actually extracted — a
-/// missing machine is already the `fsm` family's `fsm-missing` finding.
-fn check_meter_names(sources: &[SourceFile], tables: &[FsmTable], out: &mut Vec<Finding>) {
-    for (exp_file, exp_enum, names) in EXPECTED_METER_NAMES {
-        if !tables
+/// Leg 2: each meter `Transition` variant must be fired somewhere in
+/// the device models. Matched on one line, the way rustfmt lays out the
+/// calls. Skipped when no ff-device `Transition` enum is in the scanned
+/// tree (synthetic fixtures; the real crate would not compile).
+fn check_meter_names(sources: &[SourceFile], trees: &[ItemTree], out: &mut Vec<Finding>) {
+    let device = |f: &SourceFile| f.crate_name == "ff-device" && f.kind == FileKind::Lib;
+    let Some((meter, transition)) = sources
+        .iter()
+        .zip(trees)
+        .filter(|(f, _)| device(f))
+        .find_map(|(f, t)| t.enum_named("Transition").map(|e| (f, e)))
+    else {
+        return;
+    };
+    for variant in &transition.variants {
+        let needle = format!(".transition(Transition::{variant}");
+        let fired = sources
             .iter()
-            .any(|t| t.file == exp_file && t.enum_name == exp_enum)
-        {
-            continue;
-        }
-        let Some(file) = sources.iter().find(|f| f.rel_path == exp_file) else {
-            continue;
-        };
-        for name in names {
-            // Matched against the *raw* line: the preprocessor blanks
-            // string literals, and the name lives inside one.
-            let needle = format!(".transition(\"{name}\"");
-            let seen = file
-                .lines
-                .iter()
-                .any(|l| !l.in_test && l.raw.contains(&needle));
-            if !seen {
-                out.push(finding(
-                    exp_file,
-                    1,
-                    format!("meter-name-missing:{name}"),
-                    format!(
-                        "the {exp_enum} machine never emits the pinned meter transition \
-                         `{name}` — recorders and the bench export key on that name"
-                    ),
-                ));
-            }
+            .filter(|f| device(f) && f.rel_path != meter.rel_path)
+            .any(|f| {
+                f.lines
+                    .iter()
+                    .any(|l| !l.in_test && l.code.contains(&needle))
+            });
+        if !fired {
+            out.push(finding(
+                &meter.rel_path,
+                transition.decl_line,
+                format!("meter-name-missing:{variant}"),
+                format!(
+                    "no device model fires `Transition::{variant}` — recorders and the \
+                     power trace never see that transition"
+                ),
+            ));
         }
     }
 }
@@ -265,11 +269,11 @@ impl Gate {
     fn advance(&mut self) {
         match self.state {
             GateState::Open => {
-                self.meter.transition(\"shut\", self.params.shut_energy);
+                self.meter.transition(Transition::Shut, self.params.shut_energy);
                 self.state = GateState::Shut;
             }
             GateState::Shut => {
-                self.meter.dwell(\"shut\", self.params.shut_power, d);
+                self.meter.dwell(PowerState::Shut, self.params.shut_power, d);
                 self.state = GateState::Open;
             }
         }
@@ -289,7 +293,7 @@ impl Gate {
     #[test]
     fn unmetered_transition_is_flagged() {
         let src = RECORDED.replace(
-            "                self.meter.transition(\"shut\", self.params.shut_energy);\n",
+            "                self.meter.transition(Transition::Shut, self.params.shut_energy);\n",
             "",
         );
         let f = run(vec![file("crates/ff-device/src/gate.rs", &src)]);
@@ -313,7 +317,7 @@ pub struct Gate {
 }
 impl Gate {
     fn noisy(&mut self) {
-        self.meter.transition(\"shut\", self.params.shut_energy);
+        self.meter.transition(Transition::Shut, self.params.shut_energy);
     }
     fn advance(&mut self) {
         if self.state == GateState::Open {
@@ -330,42 +334,41 @@ impl Gate {
     }
 
     #[test]
-    fn required_machines_must_emit_the_pinned_meter_names() {
-        // A DiskState machine in the canonical file, metered with dwell
-        // calls only: recording passes but the pinned transition names
-        // are absent.
-        let src = "\
-pub enum DiskState {
-    Idle,
-    Standby,
+    fn every_meter_transition_must_be_fired_by_a_model() {
+        // The enum in the meter is the list of names; a model that only
+        // dwells leaves a variant unfired, as does a call in test code.
+        let meter = "\
+pub enum Transition {
+    SpinDown,
+    SpinUp,
 }
-pub struct DiskModel {
-    state: DiskState,
-}
+";
+        let disk = "\
 impl DiskModel {
-    pub fn new() -> Self {
-        DiskModel {
-            state: DiskState::Idle,
-        }
-    }
     fn advance(&mut self) {
-        match self.state {
-            DiskState::Idle => {
-                self.meter.dwell(\"idle\", p, d);
-                self.state = DiskState::Standby;
-            }
-            DiskState::Standby => {
-                self.meter.dwell(\"standby\", p, d);
-                self.state = DiskState::Idle;
-            }
-        }
+        self.meter.dwell(PowerState::Idle, p, d);
+        self.meter.transition(Transition::SpinDown, e);
+    }
+}
+#[cfg(test)]
+mod tests {
+    fn wake(m: &mut StateMeter) {
+        m.transition(Transition::SpinUp, e);
     }
 }
 ";
-        let f = run(vec![file("crates/ff-device/src/disk.rs", src)]);
-        let t = tokens(&f);
-        assert!(t.contains(&"meter-name-missing:spin_down"), "{t:?}");
-        assert!(t.contains(&"meter-name-missing:spin_up"), "{t:?}");
+        let f = run(vec![
+            file("crates/ff-device/src/meter.rs", meter),
+            file("crates/ff-device/src/disk.rs", disk),
+        ]);
+        assert_eq!(tokens(&f), ["meter-name-missing:SpinUp"], "{f:?}");
+        assert_eq!(
+            (f[0].file.as_str(), f[0].line),
+            ("crates/ff-device/src/meter.rs", 1)
+        );
+        // Without the meter enum in the tree the leg has nothing to check.
+        let f = run(vec![file("crates/ff-device/src/disk.rs", disk)]);
+        assert!(f.is_empty(), "{f:?}");
     }
 
     const SIM_OK: &str = "\

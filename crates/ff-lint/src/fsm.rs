@@ -106,21 +106,6 @@ const EXPECTED: [Expected; 2] = [
     },
 ];
 
-/// Meter transition-event names each required machine must emit, used
-/// by the [`crate::coverage`] analysis: (file, enum, names).
-pub(crate) const EXPECTED_METER_NAMES: [(&str, &str, &[&str]); 2] = [
-    (
-        "crates/ff-device/src/disk.rs",
-        "DiskState",
-        &["spin_down", "spin_up"],
-    ),
-    (
-        "crates/ff-device/src/wnic.rs",
-        "WnicState",
-        &["cam_to_psm", "psm_to_cam"],
-    ),
-];
-
 /// Extract every state machine and model-check the required ones.
 pub fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> (Vec<FsmTable>, Vec<Finding>) {
     let mut tables = Vec::new();

@@ -237,7 +237,7 @@ pub fn probes() -> Vec<Probe> {
             id: "spindown-meter-drop",
             kind: MutKind::TransitionDrop,
             file: "crates/ff-device/src/disk.rs",
-            needle: ".transition(\"spin_down\", self.params.spindown_energy);",
+            needle: ".transition(Transition::SpinDown, self.params.spindown_energy);",
             replacement: ".dwell_only();",
             occurrence: Occurrence::Fixed(1),
             aimed: &[Rule::EventCoverage],

@@ -39,9 +39,6 @@ pub struct SimConfig {
     /// system). When set, every flushed dirty page is also uploaded over
     /// the WNIC, so local writes eventually reach the server.
     pub sync_writes: bool,
-    /// Record chronological per-device power logs in the report's meters
-    /// (memory ∝ state changes; off by default).
-    pub record_power_log: bool,
     /// Optional flash tier (extension — §4's SmartSaver): a low-power
     /// page cache between RAM and the devices, `(params, capacity in
     /// 4 KiB pages)`. Reads hitting flash touch neither the disk nor the
@@ -71,7 +68,6 @@ impl Default for SimConfig {
             disk_starts_standby: true,
             network_only_files: BTreeSet::new(),
             sync_writes: false,
-            record_power_log: false,
             flash: None,
             faults: FaultPlan::none(),
             retry: RetryPolicy::default(),

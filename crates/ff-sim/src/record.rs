@@ -38,7 +38,8 @@
 //! assert!(jsonl.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
 //! ```
 
-use ff_base::{json::Value, Bytes, Dur, Joules, SimTime};
+use ff_base::{json::Value, Bytes, Dur, Joules, SimTime, Watts};
+use ff_device::{PowerState, Transition};
 use ff_policy::Source;
 use std::collections::BTreeMap;
 
@@ -142,14 +143,19 @@ pub enum Event {
         external: bool,
     },
     /// A device entered a power state (`active`, `standby`,
-    /// `cam_idle`, …) — the dwell segments behind Figure 4.
+    /// `cam_idle`, …) — the dwell segments behind Figure 4. The segment
+    /// lasts until the device's next `DeviceState`; transitions fire
+    /// inside it.
     DeviceState {
         /// Entry time.
         at: SimTime,
         /// Which device.
         device: Device,
         /// State entered (the FSM names of DESIGN.md §9).
-        state: &'static str,
+        state: PowerState,
+        /// Draw when the segment starts (see `ff_device::StateChange`).
+        /// Not serialised: the JSONL carries the state label only.
+        power: Watts,
     },
     /// A device fired a one-shot transition (`spin_up`, `cam_to_psm`,
     /// …) with its lump energy cost.
@@ -158,8 +164,8 @@ pub enum Event {
         at: SimTime,
         /// Which device.
         device: Device,
-        /// Transition name.
-        name: &'static str,
+        /// Which transition.
+        name: Transition,
         /// Lump-sum transition energy.
         energy: Joules,
     },
@@ -388,7 +394,7 @@ impl Event {
             }
             Event::DeviceState { device, state, .. } => {
                 push("dev", Value::Str(device.label().into()));
-                push("state", Value::Str(state.into()));
+                push("state", Value::Str(state.name().into()));
             }
             Event::DeviceTransition {
                 device,
@@ -397,7 +403,7 @@ impl Event {
                 ..
             } => {
                 push("dev", Value::Str(device.label().into()));
-                push("name", Value::Str(name.into()));
+                push("name", Value::Str(name.name().into()));
                 push("energy_j", Value::Float(energy.get()));
             }
             Event::CacheRead {
@@ -659,7 +665,7 @@ mod tests {
             Event::DeviceTransition {
                 at: SimTime::from_secs(3),
                 device: Device::Disk,
-                name: "spin_up",
+                name: Transition::SpinUp,
                 energy: Joules(5.28),
             },
         ];

@@ -40,7 +40,7 @@ impl StageSummary {
 }
 
 /// What one simulation run produced — the numbers behind every figure.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Policy name (figure legend).
     pub policy: String,
@@ -145,27 +145,13 @@ mod tests {
             exec_time: Dur::from_secs(100),
             disk_energy: Joules(120.0),
             wnic_energy: Joules(30.0),
-            disk_meter: StateMeter::new(),
-            wnic_meter: StateMeter::new(),
             app_requests: 10,
             disk_requests: 6,
             wnic_requests: 4,
-            disk_bytes: Bytes(1000),
-            wnic_bytes: Bytes(500),
-            flash_energy: Joules::ZERO,
-            flash_meter: None,
-            flash_requests: 0,
-            flash_bytes: Bytes::ZERO,
             cache_hits: 30,
             cache_misses: 10,
-            cache_stats: ff_cache::CacheStats::default(),
             stages: 3,
-            faults_injected: 0,
-            retries: 0,
-            failovers: 0,
-            recorded_profile: None,
-            decisions: Vec::new(),
-            stage_summaries: Vec::new(),
+            ..SimReport::default()
         }
     }
 

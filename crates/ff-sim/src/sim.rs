@@ -7,7 +7,9 @@ use crate::report::SimReport;
 use ff_base::{size::PAGE_SIZE, Bytes, BytesPerSec, Dur, Error, Joules, Result, SimTime};
 use ff_cache::cscan::{BlockRequest, CScanQueue};
 use ff_cache::{BufferCache, FlashCache, PageKey};
-use ff_device::{DeviceRequest, DiskModel, FlashModel, PowerModel, ServiceOutcome, WnicModel};
+use ff_device::{
+    DeviceRequest, DiskModel, FlashModel, PowerModel, ServiceOutcome, StateChange, WnicModel,
+};
 use ff_policy::{AppRequest, FaultNotice, Policy, PolicyCtx, PolicyKind, Source};
 use ff_profile::burst::OnlineBurstBuilder;
 use ff_profile::BurstExtractor;
@@ -379,13 +381,6 @@ impl<'t, 'r> Runner<'t, 'r> {
             .flash
             .as_ref()
             .map(|(p, pages)| (FlashModel::new(p.clone()), FlashCache::new(*pages)));
-        if cfg.record_power_log {
-            disk.enable_power_log();
-            wnic.enable_power_log();
-            if let Some((f, _)) = &mut flash {
-                f.enable_power_log();
-            }
-        }
         if tracing {
             disk.enable_state_log();
             wnic.enable_state_log();
@@ -535,6 +530,23 @@ impl<'t, 'r> Runner<'t, 'r> {
         self.recorder.record(&ev);
     }
 
+    /// Flash-tier energy so far (zero without a flash tier).
+    fn flash_energy(&self) -> Joules {
+        self.flash
+            .as_ref()
+            .map_or(Joules::ZERO, |(f, _)| f.energy())
+    }
+
+    /// Record every device's cumulative energy at `at`.
+    fn emit_energy_sample(&mut self, at: SimTime) {
+        self.emit(ObsEvent::EnergySample {
+            at,
+            disk_energy: self.disk.energy(),
+            wnic_energy: self.wnic.energy(),
+            flash_energy: self.flash_energy(),
+        });
+    }
+
     /// Forward the devices' timestamped state changes to the recorder.
     /// Called after each discrete event; each device's changes arrive
     /// in its own chronological order (the log output sorts by time).
@@ -554,19 +566,19 @@ impl<'t, 'r> Runner<'t, 'r> {
             ),
         ] {
             for c in changes {
-                let ev = if c.transition {
-                    ObsEvent::DeviceTransition {
-                        at: c.at,
+                let ev = match c {
+                    StateChange::Dwell { at, state, power } => ObsEvent::DeviceState {
+                        at,
                         device,
-                        name: c.state,
-                        energy: c.energy,
-                    }
-                } else {
-                    ObsEvent::DeviceState {
-                        at: c.at,
+                        state,
+                        power,
+                    },
+                    StateChange::Fired { at, name, energy } => ObsEvent::DeviceTransition {
+                        at,
                         device,
-                        state: c.state,
-                    }
+                        name,
+                        energy,
+                    },
                 };
                 self.emit(ev);
             }
@@ -1293,16 +1305,7 @@ impl<'t, 'r> Runner<'t, 'r> {
                 wnic_energy: report.wnic_energy,
                 fetched,
             });
-            self.emit(ObsEvent::EnergySample {
-                at: now,
-                disk_energy: self.disk.energy(),
-                wnic_energy: self.wnic.energy(),
-                flash_energy: self
-                    .flash
-                    .as_ref()
-                    .map(|(f, _)| f.energy())
-                    .unwrap_or(Joules::ZERO),
-            });
+            self.emit_energy_sample(now);
             self.emit(ObsEvent::StageStart {
                 at: now,
                 index: self.stage_index + 1,
@@ -1385,16 +1388,7 @@ impl<'t, 'r> Runner<'t, 'r> {
         self.drain_device_events();
         self.drain_decisions();
         if self.tracing {
-            self.emit(ObsEvent::EnergySample {
-                at: final_t,
-                disk_energy: self.disk.energy(),
-                wnic_energy: self.wnic.energy(),
-                flash_energy: self
-                    .flash
-                    .as_ref()
-                    .map(|(f, _)| f.energy())
-                    .unwrap_or(Joules::ZERO),
-            });
+            self.emit_energy_sample(final_t);
         }
 
         let (hits, misses) = self.cache.hit_stats();
@@ -1411,11 +1405,7 @@ impl<'t, 'r> Runner<'t, 'r> {
             wnic_requests: self.wnic_requests,
             disk_bytes: self.disk_bytes,
             wnic_bytes: self.wnic_bytes,
-            flash_energy: self
-                .flash
-                .as_ref()
-                .map(|(f, _)| f.energy())
-                .unwrap_or(Joules::ZERO),
+            flash_energy: self.flash_energy(),
             flash_meter: self.flash.as_ref().map(|(f, _)| f.meter().clone()),
             flash_requests: self.flash_requests,
             flash_bytes: self.flash_bytes,
@@ -1452,7 +1442,12 @@ fn page_runs(pages: &[PageKey]) -> Vec<(PageKey, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ff_device::Transition;
     use ff_trace::{Grep, Workload};
+
+    fn run(cfg: SimConfig, trace: &Trace, kind: PolicyKind) -> SimReport {
+        Simulation::new(cfg, trace).policy(kind).run().unwrap()
+    }
 
     fn grep_small() -> Trace {
         Grep {
@@ -1493,10 +1488,7 @@ mod tests {
     #[test]
     fn disk_only_run_completes() {
         let trace = grep_small();
-        let report = Simulation::new(SimConfig::default(), &trace)
-            .policy(PolicyKind::DiskOnly)
-            .run()
-            .unwrap();
+        let report = run(SimConfig::default(), &trace, PolicyKind::DiskOnly);
         assert!(report.total_energy().get() > 0.0);
         assert_eq!(
             report.wnic_requests, 0,
@@ -1509,10 +1501,7 @@ mod tests {
     #[test]
     fn wnic_only_run_never_reads_disk() {
         let trace = grep_small();
-        let report = Simulation::new(SimConfig::default(), &trace)
-            .policy(PolicyKind::WnicOnly)
-            .run()
-            .unwrap();
+        let report = run(SimConfig::default(), &trace, PolicyKind::WnicOnly);
         assert_eq!(report.disk_requests, 0);
         assert!(report.wnic_bytes.get() >= 4_000_000);
     }
@@ -1520,14 +1509,8 @@ mod tests {
     #[test]
     fn simulation_is_deterministic() {
         let trace = grep_small();
-        let a = Simulation::new(SimConfig::default(), &trace)
-            .policy(PolicyKind::BlueFs)
-            .run()
-            .unwrap();
-        let b = Simulation::new(SimConfig::default(), &trace)
-            .policy(PolicyKind::BlueFs)
-            .run()
-            .unwrap();
+        let a = run(SimConfig::default(), &trace, PolicyKind::BlueFs);
+        let b = run(SimConfig::default(), &trace, PolicyKind::BlueFs);
         assert_eq!(a.total_energy(), b.total_energy());
         assert_eq!(a.exec_time, b.exec_time);
         assert_eq!(a.disk_requests, b.disk_requests);
@@ -1545,10 +1528,7 @@ mod tests {
         let t1 = grep_small();
         let t2 = grep_small();
         let both = t1.concat(&t2, Dur::from_secs(1)).unwrap();
-        let report = Simulation::new(SimConfig::default(), &both)
-            .policy(PolicyKind::DiskOnly)
-            .run()
-            .unwrap();
+        let report = run(SimConfig::default(), &both, PolicyKind::DiskOnly);
         assert!(
             report.hit_ratio() > 0.4,
             "second pass should hit the cache, ratio {}",
@@ -1561,14 +1541,11 @@ mod tests {
     #[test]
     fn wnic_only_disk_spins_down_and_stays_down() {
         let trace = grep_small();
-        let report = Simulation::new(SimConfig::default(), &trace)
-            .policy(PolicyKind::WnicOnly)
-            .run()
-            .unwrap();
+        let report = run(SimConfig::default(), &trace, PolicyKind::WnicOnly);
         // The unused disk spins down exactly once (if the run outlasts the
         // 20 s timeout) and never back up.
-        assert_eq!(report.disk_meter.transition_count("spin_up"), 0);
-        assert!(report.disk_meter.transition_count("spin_down") <= 1);
+        assert_eq!(report.disk_meter.transition_count(Transition::SpinUp), 0);
+        assert!(report.disk_meter.transition_count(Transition::SpinDown) <= 1);
     }
 
     #[test]
@@ -1576,10 +1553,7 @@ mod tests {
         let trace = grep_small();
         let pinned: Vec<FileId> = trace.files.iter().map(|f| f.id).collect();
         let cfg = SimConfig::default().with_disk_only_files(pinned);
-        let report = Simulation::new(cfg, &trace)
-            .policy(PolicyKind::WnicOnly)
-            .run()
-            .unwrap();
+        let report = run(cfg, &trace, PolicyKind::WnicOnly);
         assert_eq!(
             report.wnic_requests, 0,
             "pinned files must never ride the WNIC"
@@ -1595,10 +1569,7 @@ mod tests {
             ..Default::default()
         }
         .build(3);
-        let report = Simulation::new(SimConfig::default(), &trace)
-            .policy(PolicyKind::DiskOnly)
-            .run()
-            .unwrap();
+        let report = run(SimConfig::default(), &trace, PolicyKind::DiskOnly);
         // ~2 min run with 40 s stages → at least 2 boundaries.
         assert!(report.stages >= 2, "stages {}", report.stages);
     }
@@ -1629,10 +1600,7 @@ mod tests {
             .filter(|f| f.0 % 2 == 0)
             .collect();
         let cfg = SimConfig::default().with_network_only_files(half);
-        let report = Simulation::new(cfg, &trace)
-            .policy(PolicyKind::DiskOnly)
-            .run()
-            .unwrap();
+        let report = run(cfg, &trace, PolicyKind::DiskOnly);
         assert!(report.disk_requests > 0);
         assert!(report.wnic_requests > 0);
     }
@@ -1648,14 +1616,12 @@ mod tests {
             ..Default::default()
         }
         .build(3);
-        let plain = Simulation::new(SimConfig::default(), &trace)
-            .policy(PolicyKind::DiskOnly)
-            .run()
-            .unwrap();
-        let synced = Simulation::new(SimConfig::default().with_sync_writes(), &trace)
-            .policy(PolicyKind::DiskOnly)
-            .run()
-            .unwrap();
+        let plain = run(SimConfig::default(), &trace, PolicyKind::DiskOnly);
+        let synced = run(
+            SimConfig::default().with_sync_writes(),
+            &trace,
+            PolicyKind::DiskOnly,
+        );
         assert_eq!(plain.wnic_requests, 0);
         assert!(synced.wnic_requests > 0, "sync must upload dirty pages");
         assert!(synced.total_energy() > plain.total_energy());
@@ -1674,14 +1640,12 @@ mod tests {
             ..Default::default()
         }
         .build(4);
-        let plain = Simulation::new(SimConfig::default(), &trace)
-            .policy(PolicyKind::WnicOnly)
-            .run()
-            .unwrap();
-        let synced = Simulation::new(SimConfig::default().with_sync_writes(), &trace)
-            .policy(PolicyKind::WnicOnly)
-            .run()
-            .unwrap();
+        let plain = run(SimConfig::default(), &trace, PolicyKind::WnicOnly);
+        let synced = run(
+            SimConfig::default().with_sync_writes(),
+            &trace,
+            PolicyKind::WnicOnly,
+        );
         // Write-back already targets the server; sync adds no mirror.
         assert_eq!(plain.wnic_bytes, synced.wnic_bytes);
         assert_eq!(plain.total_energy(), synced.total_energy());
@@ -1699,10 +1663,7 @@ mod tests {
             if flash_mb > 0 {
                 cfg = cfg.with_flash_mb(flash_mb);
             }
-            Simulation::new(cfg, &both)
-                .policy(PolicyKind::WnicOnly)
-                .run()
-                .unwrap()
+            run(cfg, &both, PolicyKind::WnicOnly)
         };
         let without = tiny_ram(0);
         let with = tiny_ram(64);
@@ -1740,16 +1701,13 @@ mod tests {
             if flash {
                 cfg = cfg.with_flash_mb(64);
             }
-            Simulation::new(cfg, &trace)
-                .policy(PolicyKind::DiskOnly)
-                .run()
-                .unwrap()
+            run(cfg, &trace, PolicyKind::DiskOnly)
         };
         let without = run(false);
         let with = run(true);
         assert!(
-            with.disk_meter.transition_count("spin_up")
-                <= without.disk_meter.transition_count("spin_up"),
+            with.disk_meter.transition_count(Transition::SpinUp)
+                <= without.disk_meter.transition_count(Transition::SpinUp),
             "flash must not increase spin-ups"
         );
         assert!(with.flash_bytes.get() > 0);
@@ -1759,10 +1717,7 @@ mod tests {
     fn flash_energy_is_metered_and_totalled() {
         let trace = grep_small();
         let cfg = SimConfig::default().with_flash_mb(32);
-        let r = Simulation::new(cfg, &trace)
-            .policy(PolicyKind::DiskOnly)
-            .run()
-            .unwrap();
+        let r = run(cfg, &trace, PolicyKind::DiskOnly);
         let meter = r.flash_meter.as_ref().expect("flash configured");
         assert!((meter.total().get() - r.flash_energy.get()).abs() < 1e-9);
         assert!(r.flash_energy.get() > 0.0, "idle draw alone is non-zero");
@@ -1780,10 +1735,7 @@ mod tests {
             ..Default::default()
         }
         .build(3);
-        let report = Simulation::new(SimConfig::default(), &trace)
-            .policy(PolicyKind::DiskOnly)
-            .run()
-            .unwrap();
+        let report = run(SimConfig::default(), &trace, PolicyKind::DiskOnly);
         assert_eq!(report.stage_summaries.len(), report.stages);
         // Stage energies sum to at most the run total (the tail after the
         // last boundary is not in any stage).
@@ -1814,10 +1766,7 @@ mod tests {
         .build(8);
         let plan = FaultPlan::none().with_link_outage(Dur::from_secs(50), Dur::from_secs(100));
         let cfg = SimConfig::default().with_faults(plan);
-        let report = Simulation::new(cfg, &trace)
-            .policy(PolicyKind::WnicOnly)
-            .run()
-            .unwrap();
+        let report = run(cfg, &trace, PolicyKind::WnicOnly);
         assert!(report.wnic_requests > 0, "link is up outside the outage");
         assert!(report.disk_requests > 0, "failover during the outage");
     }
@@ -1835,10 +1784,7 @@ mod tests {
         let cfg = SimConfig::default()
             .with_network_only_files(all)
             .with_faults(FaultPlan::none().with_link_outage(Dur::ZERO, outage_end));
-        let report = Simulation::new(cfg, &trace)
-            .policy(PolicyKind::DiskOnly)
-            .run()
-            .unwrap();
+        let report = run(cfg, &trace, PolicyKind::DiskOnly);
         assert_eq!(report.disk_requests, 0, "no local copies exist");
         // The run cannot finish before the link returns.
         assert!(report.exec_time >= outage_end, "exec {}", report.exec_time);
@@ -1847,17 +1793,11 @@ mod tests {
     #[test]
     fn bandwidth_change_slows_later_transfers() {
         let trace = grep_small();
-        let fast = Simulation::new(SimConfig::default(), &trace)
-            .policy(PolicyKind::WnicOnly)
-            .run()
-            .unwrap();
+        let fast = run(SimConfig::default(), &trace, PolicyKind::WnicOnly);
         // Degrade to 1 Mbps almost immediately.
         let step = FaultPlan::none().with_bandwidth_step(Dur::from_millis(100), 1.0);
         let cfg = SimConfig::default().with_faults(step);
-        let degraded = Simulation::new(cfg, &trace)
-            .policy(PolicyKind::WnicOnly)
-            .run()
-            .unwrap();
+        let degraded = run(cfg, &trace, PolicyKind::WnicOnly);
         assert!(
             degraded.exec_time > fast.exec_time,
             "degraded link must slow the replay: {} vs {}",
@@ -1871,10 +1811,11 @@ mod tests {
     #[test]
     fn flexfetch_records_a_profile() {
         let trace = grep_small();
-        let report = Simulation::new(SimConfig::default(), &trace)
-            .policy(PolicyKind::flexfetch(ff_profile::Profile::empty("grep")))
-            .run()
-            .unwrap();
+        let report = run(
+            SimConfig::default(),
+            &trace,
+            PolicyKind::flexfetch(ff_profile::Profile::empty("grep")),
+        );
         let profile = report.recorded_profile.expect("FlexFetch must record");
         assert!(!profile.is_empty());
         assert_eq!(profile.app, "grep");
@@ -1890,10 +1831,11 @@ mod tests {
         }
         .build(8);
         let plan = FaultPlan::none().with_link_outage(Dur::ZERO, Dur::from_secs(100_000));
-        let report = Simulation::new(SimConfig::default().with_faults(plan), &trace)
-            .policy(PolicyKind::WnicOnly)
-            .run()
-            .unwrap();
+        let report = run(
+            SimConfig::default().with_faults(plan),
+            &trace,
+            PolicyKind::WnicOnly,
+        );
         assert_eq!(report.wnic_requests, 0, "outage must block the WNIC");
         assert!(report.disk_requests > 0);
         assert_eq!(report.faults_injected, 1);
@@ -1912,10 +1854,7 @@ mod tests {
                 backoff: Dur::from_millis(50),
                 max_retries: 3,
             });
-        let report = Simulation::new(cfg, &trace)
-            .policy(PolicyKind::WnicOnly)
-            .run()
-            .unwrap();
+        let report = run(cfg, &trace, PolicyKind::WnicOnly);
         // The first WNIC-bound request exhausts the ladder, then the
         // dead-server mark reroutes everything else without retrying.
         assert_eq!(report.retries, 3, "one full ladder");
@@ -1938,10 +1877,7 @@ mod tests {
                 backoff: Dur::from_millis(500),
                 max_retries: 4,
             });
-        let report = Simulation::new(cfg, &trace)
-            .policy(PolicyKind::WnicOnly)
-            .run()
-            .unwrap();
+        let report = run(cfg, &trace, PolicyKind::WnicOnly);
         assert_eq!(report.failovers, 0, "recovery must beat the ladder");
         assert!(report.retries >= 1, "the first attempt still timed out");
         assert_eq!(report.disk_requests, 0);
@@ -1961,10 +1897,11 @@ mod tests {
         .build(8);
         let plan =
             FaultPlan::none().with_disk_storm(Dur::from_secs(1), 6, Dur::from_secs(2), 65_536);
-        let report = Simulation::new(SimConfig::default().with_faults(plan), &trace)
-            .policy(PolicyKind::WnicOnly)
-            .run()
-            .unwrap();
+        let report = run(
+            SimConfig::default().with_faults(plan),
+            &trace,
+            PolicyKind::WnicOnly,
+        );
         assert_eq!(report.faults_injected, 6, "every touch lands");
         assert!(
             report.disk_requests >= 6,
@@ -1982,14 +1919,12 @@ mod tests {
             Dur::from_secs(100_000),
             0.5,
         );
-        let faded = Simulation::new(SimConfig::default().with_faults(fade), &trace)
-            .policy(PolicyKind::WnicOnly)
-            .run()
-            .unwrap();
-        let clean = Simulation::new(SimConfig::default(), &trace)
-            .policy(PolicyKind::WnicOnly)
-            .run()
-            .unwrap();
+        let faded = run(
+            SimConfig::default().with_faults(fade),
+            &trace,
+            PolicyKind::WnicOnly,
+        );
+        let clean = run(SimConfig::default(), &trace, PolicyKind::WnicOnly);
         assert!(
             faded.exec_time > clean.exec_time,
             "a 0.5 Mbps fade must slow the run: {} vs {}",
@@ -2000,10 +1935,11 @@ mod tests {
         // from rounding: the pre-fade bandwidth is restored.
         let blip =
             FaultPlan::none().with_bandwidth_fade(Dur::from_millis(1), Dur::from_millis(2), 0.5);
-        let blipped = Simulation::new(SimConfig::default().with_faults(blip), &trace)
-            .policy(PolicyKind::WnicOnly)
-            .run()
-            .unwrap();
+        let blipped = run(
+            SimConfig::default().with_faults(blip),
+            &trace,
+            PolicyKind::WnicOnly,
+        );
         assert!(
             blipped.exec_time < clean.exec_time + Dur::from_secs(1),
             "restored bandwidth must keep the run fast"
@@ -2016,10 +1952,11 @@ mod tests {
         let trace = grep_small();
         let plan = FaultPlan::seeded(42, Dur::from_secs(120));
         let run = || {
-            Simulation::new(SimConfig::default().with_faults(plan.clone()), &trace)
-                .policy(PolicyKind::flexfetch(ff_profile::Profile::empty("grep")))
-                .run()
-                .unwrap()
+            run(
+                SimConfig::default().with_faults(plan.clone()),
+                &trace,
+                PolicyKind::flexfetch(ff_profile::Profile::empty("grep")),
+            )
         };
         let a = run();
         let b = run();
@@ -2054,15 +1991,9 @@ mod tests {
     #[test]
     fn exec_time_exceeds_trace_span_when_device_is_slow() {
         let trace = grep_small();
-        let fast = Simulation::new(SimConfig::default(), &trace)
-            .policy(PolicyKind::DiskOnly)
-            .run()
-            .unwrap();
+        let fast = run(SimConfig::default(), &trace, PolicyKind::DiskOnly);
         let slow_cfg = SimConfig::default().with_wnic_bandwidth_mbps(1.0);
-        let slow = Simulation::new(slow_cfg, &trace)
-            .policy(PolicyKind::WnicOnly)
-            .run()
-            .unwrap();
+        let slow = run(slow_cfg, &trace, PolicyKind::WnicOnly);
         assert!(
             slow.exec_time > fast.exec_time,
             "1 Mbps WNIC replay must run longer than the disk replay"

@@ -1,9 +1,11 @@
 //! Integration tests for the observability layer: golden event trace,
 //! recorder-neutrality, and counters-vs-events consistency.
 
+use ff_base::Joules;
+use ff_device::Transition;
 use ff_policy::PolicyKind;
 use ff_profile::Profiler;
-use ff_sim::record::{Event, EventLog, NullRecorder};
+use ff_sim::record::{Device, Event, EventLog, NullRecorder};
 use ff_sim::{SimConfig, SimReport, Simulation};
 use ff_trace::{Grep, Make, Trace, Workload};
 
@@ -124,8 +126,7 @@ fn counters_match_events() {
     assert_eq!(log.count("adaptation"), report.decisions.len() as u64);
 
     let (mut hits, mut misses, mut ra) = (0u64, 0u64, 0u64);
-    let (mut flush_pages, mut spin_ups, mut disk_routes, mut wnic_routes) =
-        (0u64, 0u64, 0u64, 0u64);
+    let (mut flush_pages, mut disk_routes, mut wnic_routes) = (0u64, 0u64, 0u64);
     for ev in log.events() {
         match *ev {
             Event::CacheRead {
@@ -139,7 +140,6 @@ fn counters_match_events() {
                 ra += readahead_pages;
             }
             Event::WritebackFlush { pages, .. } => flush_pages += pages,
-            Event::DeviceTransition { name, .. } if name == "spin_up" => spin_ups += 1,
             Event::Decision { source, .. } => match source {
                 ff_policy::Source::Disk => disk_routes += 1,
                 ff_policy::Source::Wnic => wnic_routes += 1,
@@ -153,7 +153,30 @@ fn counters_match_events() {
     assert!(cs.flushes > 0, "Make must trigger write-back");
     assert_eq!(log.count("writeback_flush"), cs.flushes);
     assert_eq!(flush_pages, cs.flushed_pages);
-    assert_eq!(spin_ups, report.disk_meter.transition_count("spin_up"));
+    // Every metered transition surfaced as one event carrying its
+    // energy, in metering order — so even the float sums agree exactly.
+    for (device, meter) in [
+        (Device::Disk, &report.disk_meter),
+        (Device::Wnic, &report.wnic_meter),
+    ] {
+        assert!(meter.transitions().count() > 0, "{device:?} never switched");
+        for t in Transition::ALL {
+            let (n, e) = log
+                .events()
+                .iter()
+                .fold((0u64, Joules::ZERO), |(n, e), ev| match *ev {
+                    Event::DeviceTransition {
+                        device: d,
+                        name,
+                        energy,
+                        ..
+                    } if d == device && name == t => (n + 1, e + energy),
+                    _ => (n, e),
+                });
+            assert_eq!(n, meter.transition_count(t), "{device:?} {t}");
+            assert_eq!(e, meter.transition_energy(t), "{device:?} {t}");
+        }
+    }
     // Every device request traces back to some routed decision.
     assert!(disk_routes > 0, "Make reads must route somewhere");
     assert_eq!(

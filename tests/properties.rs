@@ -2,10 +2,39 @@
 //! and parameters must never violate the simulator's invariants.
 
 use flexfetch::base::{Bytes, Dur, SimTime};
+use flexfetch::device::StateMeter;
 use flexfetch::prelude::*;
 use flexfetch::profile::BurstExtractor;
 use flexfetch::trace::{FileId, FileMeta, IoOp, TraceRecord};
 use proptest::prelude::*;
+
+/// Conservation laws over a whole run. Both devices are advanced to the
+/// same final instant, so their residencies cover the same span to the
+/// microsecond, and that span contains the execution time. Each meter's
+/// residency plus transition energy is its total and the report's
+/// per-device energy.
+fn assert_meters_conserve(r: &SimReport) {
+    let span = |m: &StateMeter| -> u64 { m.residencies().map(|(_, d, _)| d.as_micros()).sum() };
+    let disk_span = span(&r.disk_meter);
+    prop_assert_eq!(disk_span, span(&r.wnic_meter));
+    prop_assert!(
+        disk_span >= r.exec_time.as_micros(),
+        "span {} < exec {}",
+        disk_span,
+        r.exec_time
+    );
+    for (m, reported) in [
+        (&r.disk_meter, r.disk_energy),
+        (&r.wnic_meter, r.wnic_energy),
+    ] {
+        let parts: f64 = m.residencies().map(|(_, _, e)| e.get()).sum::<f64>()
+            + m.transitions().map(|(_, _, e)| e.get()).sum::<f64>();
+        for whole in [m.total(), reported] {
+            let tol = 1e-6 * whole.get().abs();
+            prop_assert!((parts - whole.get()).abs() <= tol, "{} vs {}", parts, whole);
+        }
+    }
+}
 
 /// Strategy: a small random-but-valid trace over up to 8 files.
 fn arb_trace() -> impl Strategy<Value = Trace> {
@@ -130,6 +159,7 @@ proptest! {
         // readahead and write-back can explain: bound fetch+flush traffic
         // by requested bytes + full readahead amplification + page
         // rounding (each request may touch 2 partial pages).
+        assert_meters_conserve(&r);
         let fetched = r.disk_bytes.get() + r.wnic_bytes.get();
         let requested = trace.total_bytes().get();
         let worst = 2 * requested + (r.app_requests * 2 + 64) * 4096 + 32 * 4096 * r.app_requests;
@@ -166,6 +196,7 @@ proptest! {
         prop_assert!(r.total_energy().get() > 0.0);
         // A failover can only follow at least one timed-out attempt.
         prop_assert!(r.failovers == 0 || r.retries > 0);
+        assert_meters_conserve(&r);
         let b = run();
         prop_assert_eq!(r.total_energy(), b.total_energy());
         prop_assert_eq!(r.exec_time, b.exec_time);
