@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ff_device::{DiskModel, DiskParams, WnicModel, WnicParams};
-use ff_profile::{BurstExtractor, Estimator, Profiler};
+use ff_profile::{first_stage_len, BurstExtractor, Estimator, Profiler};
 use ff_trace::{DiskLayout, Make, Workload};
 
 fn bench_extraction(c: &mut Criterion) {
@@ -36,11 +36,17 @@ fn bench_estimator(c: &mut Criterion) {
             ))
         })
     });
-    c.bench_function("profile/splice_and_stage", |b| {
-        let observed = profile.bursts[..20].to_vec();
+    // One §2.3.1 re-plan as FlexFetch runs it: borrow the stage window
+    // after the first 20 (spliced-away) bursts, then estimate both devices.
+    c.bench_function("profile/replan_window_and_estimates", |b| {
+        let est = Estimator::new(&layout);
+        let stage_len = ff_base::Dur::from_secs(40);
         b.iter(|| {
-            let spliced = profile.splice(&observed, 20);
-            black_box(spliced.stages(ff_base::Dur::from_secs(40)).len())
+            let rest = profile.bursts.get(20..).unwrap_or_default();
+            let window = rest.get(..first_stage_len(rest, stage_len)).unwrap_or(rest);
+            let disk = est.disk_cost(window, DiskModel::new(DiskParams::hitachi_dk23da()));
+            let wnic = est.wnic_cost(window, WnicModel::new(WnicParams::cisco_aironet350()));
+            black_box((disk, wnic))
         })
     });
 }

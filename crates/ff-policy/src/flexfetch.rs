@@ -28,8 +28,8 @@ use crate::source::{AppRequest, FaultNotice, Policy, PolicyCtx, Source, StageRep
 use ff_base::{Bytes, Dur, SimTime};
 use ff_device::ServiceOutcome;
 use ff_profile::{
-    burst::OnlineBurstBuilder, estimate::filter_resident, stages_of, BurstExtractor, Estimator,
-    Profile, ProfiledBurst,
+    burst::OnlineBurstBuilder, estimate::filter_resident, first_stage_len, BurstExtractor,
+    Estimator, Profile, ProfiledBurst,
 };
 
 /// FlexFetch tuning.
@@ -72,6 +72,8 @@ pub struct FlexFetch {
     online: OnlineBurstBuilder,
     /// Closed bursts observed so far this run.
     observed: Vec<ProfiledBurst>,
+    /// Bytes requested so far this run (the §2.3.1 splice trigger).
+    seen: Bytes,
     /// Current stage decision.
     current: Source,
     /// Whether the initial decision has been made.
@@ -108,6 +110,7 @@ impl FlexFetch {
             old_profile: profile,
             online,
             observed: Vec::new(),
+            seen: Bytes::ZERO,
             current: Source::Disk,
             decided: false,
             last_n: 0,
@@ -177,14 +180,12 @@ impl FlexFetch {
     /// Decide the source for the burst window `bursts`, starting from the
     /// live device states in `ctx`.
     fn decide_for(&self, ctx: &PolicyCtx<'_>, bursts: &[ProfiledBurst]) -> Source {
-        if bursts.is_empty() {
-            // Nothing known about the future: keep whatever we have.
-            return self.current;
-        }
+        let filtered;
         let bursts = if self.config.adaptive {
-            filter_resident(bursts, |f, o, l| (ctx.resident)(f, o, l))
+            filtered = filter_resident(bursts, |f, o, l| (ctx.resident)(f, o, l));
+            filtered.as_slice()
         } else {
-            bursts.to_vec()
+            bursts
         };
         let est = Estimator::new(ctx.layout);
         // The paper's literal (T_disk, E_disk) vs (T_network, E_network):
@@ -192,21 +193,29 @@ impl FlexFetch {
         // includes the disk idling at 1.6 W between bursts; E_network
         // includes the card's PSM dwell at 0.39 W — the asymmetry that
         // sends sparse workloads to the network.
-        let disk = est.disk_cost(&bursts, ctx.disk.clone());
-        let wnic = est.wnic_cost(&bursts, ctx.wnic.clone());
+        let disk = est.disk_cost(bursts, ctx.disk.clone());
+        let wnic = est.wnic_cost(bursts, ctx.wnic.clone());
         decide(disk, wnic, self.config.loss_rate)
     }
 
-    /// The upcoming stage-worth of bursts according to the (possibly
-    /// spliced) profile.
-    fn upcoming_stage(&self, skip: usize) -> Vec<ProfiledBurst> {
-        let remaining: Vec<ProfiledBurst> =
-            self.old_profile.bursts.iter().skip(skip).cloned().collect();
-        stages_of(&remaining, self.config.stage_len)
-            .into_iter()
-            .next()
-            .map(|s| s.bursts)
-            .unwrap_or_default()
+    /// The stage of the profile that starts `skip` bursts in: after a
+    /// §2.3.1 splice the observed prefix stands in for the first `skip`
+    /// bursts, so only what follows it is still a prediction.
+    fn upcoming_stage(&self, skip: usize) -> &[ProfiledBurst] {
+        let rest = self.old_profile.bursts.get(skip..).unwrap_or_default();
+        rest.get(..first_stage_len(rest, self.config.stage_len))
+            .unwrap_or(rest)
+    }
+
+    /// Re-run the §2.2 rules on the stage `skip` bursts into the profile
+    /// and adopt the result, logged as `why`. An exhausted profile leaves
+    /// the current choice in place: nothing is known about the future.
+    fn replan(&mut self, ctx: &PolicyCtx<'_>, skip: usize, why: &'static str) {
+        let stage = self.upcoming_stage(skip);
+        if !stage.is_empty() {
+            let d = self.decide_for(ctx, stage);
+            self.set_current(ctx.now, d, why);
+        }
     }
 
     /// Pull newly closed bursts out of the on-line profiler.
@@ -232,9 +241,7 @@ impl Policy for FlexFetch {
                 // the stage-end audit steer (adaptive), or stay (static).
                 self.set_current(ctx.now, Source::Disk, "initial:no-profile");
             } else {
-                let stage = self.upcoming_stage(0);
-                let d = self.decide_for(ctx, &stage);
-                self.set_current(ctx.now, d, "initial:profile");
+                self.replan(ctx, 0, "initial:profile");
             }
         }
         let _ = req;
@@ -266,6 +273,7 @@ impl Policy for FlexFetch {
             req.offset,
             req.len,
         );
+        self.seen += req.len;
         if !self.config.adaptive {
             return;
         }
@@ -274,17 +282,11 @@ impl Policy for FlexFetch {
         // profiled bursts → splice and re-run the rules. Suspended while
         // a stage-end audit override is active (the profile was proven
         // ineffective; measurements drive until it recovers).
-        let bytes: Bytes =
-            self.online.observed_bytes() + self.observed.iter().map(|b| b.burst.bytes()).sum();
-        let n = self.old_profile.bursts_covering(bytes);
+        let n = self.old_profile.bursts_covering(self.seen);
         if n > self.last_n && !self.old_profile.is_empty() {
             self.last_n = n;
             if self.forced.is_none() && !self.degraded() {
-                let stage = self.upcoming_stage(n);
-                if !stage.is_empty() {
-                    let d = self.decide_for(ctx, &stage);
-                    self.set_current(ctx.now, d, "reeval:splice");
-                }
+                self.replan(ctx, n, "reeval:splice");
             }
         }
     }
@@ -299,18 +301,11 @@ impl Policy for FlexFetch {
         if !self.config.adaptive {
             // Static: re-decide for the next stage purely from the
             // recorded profile position (by stage count).
-            let skip: usize = self
-                .old_profile
-                .stages(self.config.stage_len)
-                .iter()
-                .take(self.stage_index)
-                .map(|s| s.len())
-                .sum();
-            let stage = self.upcoming_stage(skip);
-            if !stage.is_empty() {
-                let d = self.decide_for(ctx, &stage);
-                self.set_current(ctx.now, d, "static:stage");
+            let mut skip = 0;
+            for _ in 0..self.stage_index {
+                skip += self.upcoming_stage(skip).len();
             }
+            self.replan(ctx, skip, "static:stage");
             return;
         }
         self.sync_observed();
@@ -360,7 +355,7 @@ impl Policy for FlexFetch {
         let flip = winner != self.current && (dominates || energy_margin || time_margin);
 
         let stage = self.upcoming_stage(self.last_n);
-        let profile_choice = (!stage.is_empty()).then(|| self.decide_for(ctx, &stage));
+        let profile_choice = (!stage.is_empty()).then(|| self.decide_for(ctx, stage));
         let new = if flip { winner } else { self.current };
         self.set_current(
             ctx.now,
@@ -390,11 +385,7 @@ impl Policy for FlexFetch {
                 // the upcoming stage against the new link rate, unless an
                 // audit override says measurements are steering.
                 if self.decided && !self.degraded() && self.forced.is_none() {
-                    let stage = self.upcoming_stage(self.last_n);
-                    if !stage.is_empty() {
-                        let d = self.decide_for(ctx, &stage);
-                        self.set_current(ctx.now, d, "fault:bandwidth");
-                    }
+                    self.replan(ctx, self.last_n, "fault:bandwidth");
                 }
                 return;
             }
@@ -407,11 +398,7 @@ impl Policy for FlexFetch {
             // profile re-decide from the devices' current states.
             self.forced = None;
             if self.decided {
-                let stage = self.upcoming_stage(self.last_n);
-                if !stage.is_empty() {
-                    let d = self.decide_for(ctx, &stage);
-                    self.set_current(ctx.now, d, "fault:recovered");
-                }
+                self.replan(ctx, self.last_n, "fault:recovered");
             }
         }
     }
@@ -429,11 +416,7 @@ impl Policy for FlexFetch {
             return; // stay pinned to the disk until the outage clears
         }
         if self.decided {
-            let stage = self.upcoming_stage(0);
-            if !stage.is_empty() {
-                let d = self.decide_for(ctx, &stage);
-                self.set_current(ctx.now, d, "fault:profile");
-            }
+            self.replan(ctx, 0, "fault:profile");
         }
     }
 
@@ -524,17 +507,33 @@ mod tests {
     /// margin survives the first stage's disk drain-down, where the
     /// network option still pays 20 s of disk idle before the timeout).
     fn intermittent_profile() -> Profile {
-        let mut t = 0;
-        let bursts = (0..30)
-            .map(|_| {
-                let b = pb(t, 5, 6_000, 65_536);
-                t += 6_005;
-                b
-            })
-            .collect();
         Profile {
             app: "stream".into(),
-            bursts,
+            bursts: refills(30, 6_000, false),
+        }
+    }
+
+    /// `n` back-to-back 64 KiB refills, each followed by `gap_ms` of think
+    /// time, then (with `dense_tail`) one 80 MB burst.
+    fn refills(n: u64, gap_ms: u64, dense_tail: bool) -> Vec<ProfiledBurst> {
+        let mut bursts: Vec<_> = (0..n)
+            .map(|i| pb(i * (5 + gap_ms), 5, gap_ms, 65_536))
+            .collect();
+        if dense_tail {
+            bursts.push(pb(n * (5 + gap_ms), 2_000, 0, 80_000_000));
+        }
+        bursts
+    }
+
+    /// A stage-end report as FlexFetch-static reads it: only the index.
+    fn static_report(index: usize) -> StageReport {
+        StageReport {
+            index,
+            start: SimTime::ZERO,
+            end: SimTime::from_secs(40),
+            observed: vec![],
+            disk_energy: Joules(1.0),
+            wnic_energy: Joules(1.0),
         }
     }
 
@@ -759,34 +758,46 @@ mod tests {
         // Profile: a WNIC-ish first stage (sparse) then a disk-ish second
         // stage (one huge burst). Static FlexFetch must switch at the
         // stage boundary purely from the profile.
-        let mut bursts: Vec<ProfiledBurst> = Vec::new();
-        let mut t = 0;
-        for _ in 0..8 {
-            bursts.push(pb(t, 5, 6_000, 65_536)); // sparse ~48 s
-            t += 6_005;
-        }
-        bursts.push(pb(t, 2_000, 0, 80_000_000)); // dense tail
         let profile = Profile {
             app: "two-phase".into(),
-            bursts,
+            bursts: refills(8, 6_000, true), // sparse ~48 s, dense tail
         };
         let mut p = FlexFetch::new_static(profile);
         let c = ctx(&w, SimTime::ZERO, &nores);
         assert_eq!(p.select(&c, &any_req()), Source::Wnic, "stage 1 is sparse");
-        let report = StageReport {
-            index: 0,
-            start: SimTime::ZERO,
-            end: SimTime::from_secs(40),
-            observed: vec![],
-            disk_energy: Joules(1.0),
-            wnic_energy: Joules(1.0),
-        };
-        p.on_stage_end(&c, &report);
+        p.on_stage_end(&c, &static_report(0));
         assert_eq!(
             p.current_source(),
             Source::Disk,
             "stage 2 of the profile is the dense burst"
         );
+    }
+
+    #[test]
+    fn static_variant_indexes_an_injected_profile_by_stage_count() {
+        let w = world();
+        // Replacement profile: two sparse stages of four 10 s refills
+        // each, then one dense burst as stage 2. The original profile's
+        // stages hold seven bursts each, so stepping its windows instead
+        // would run past the new profile's end.
+        let injected = Profile {
+            app: "injected".into(),
+            bursts: refills(8, 10_000, true),
+        };
+        let mut p = FlexFetch::new_static(intermittent_profile());
+        let c = ctx(&w, SimTime::ZERO, &nores);
+        assert_eq!(p.select(&c, &any_req()), Source::Wnic);
+        p.on_stage_end(&c, &static_report(0));
+        assert_eq!(p.current_source(), Source::Wnic);
+        p.inject_profile(&c, injected);
+        assert_eq!(p.current_source(), Source::Wnic, "new stage 0 is sparse");
+        p.on_stage_end(&c, &static_report(1));
+        assert_eq!(
+            p.current_source(),
+            Source::Disk,
+            "stage 2 of the injected profile is the dense burst"
+        );
+        assert_eq!(p.decision_log().last().map(|d| d.2), Some("static:stage"));
     }
 
     #[test]

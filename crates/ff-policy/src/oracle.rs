@@ -82,22 +82,7 @@ pub fn plan_oracle(
             // without parking to read the end state.
             let d = est.disk_cost(&stage.bursts, mk_disk());
             let mut probe = mk_disk();
-            let mut t = probe.clock();
-            for pb in &stage.bursts {
-                for req in &pb.burst.requests {
-                    let dev_req = ff_device::DeviceRequest {
-                        dir: match req.op {
-                            ff_trace::IoOp::Read => ff_device::Dir::Read,
-                            ff_trace::IoOp::Write => ff_device::Dir::Write,
-                        },
-                        bytes: req.len,
-                        block: layout.block_of(req.file, req.offset),
-                    };
-                    t = probe.service(t, &dev_req).complete;
-                }
-                t += pb.gap_after;
-                probe.advance_to(t);
-            }
+            est.walk(&stage.bursts, &mut probe);
             let up_after = matches!(probe.state(), DiskState::Idle | DiskState::SpinningUp(_));
             disk_opt[i][s] = Opt {
                 energy: d.energy.get(),

@@ -252,17 +252,6 @@ impl OnlineBurstBuilder {
         }
         out
     }
-
-    /// Bytes observed so far (closed + open bursts).
-    pub fn observed_bytes(&self) -> Bytes {
-        let closed: Bytes = self.completed.iter().map(|b| b.burst.bytes()).sum();
-        closed
-            + self
-                .current
-                .as_ref()
-                .map(|b| b.bytes())
-                .unwrap_or(Bytes::ZERO)
-    }
 }
 
 fn push_merged(reqs: &mut Vec<MergedRequest>, rec: MergedRequest, window: Bytes) {
@@ -442,7 +431,6 @@ mod tests {
             0,
             Bytes(100),
         );
-        assert_eq!(b.observed_bytes(), Bytes(100));
         // Big gap closes the first burst.
         b.observe(
             SimTime(100_000),
@@ -452,15 +440,14 @@ mod tests {
             100,
             Bytes(50),
         );
-        assert_eq!(b.observed_bytes(), Bytes(150));
         let closed = b.take_completed();
         assert_eq!(closed.len(), 1);
         assert_eq!(closed[0].gap_after, Dur::from_micros(99_990));
-        // Bytes counter unaffected by draining closed bursts? It counts
-        // only what remains.
-        assert_eq!(b.observed_bytes(), Bytes(50));
+        assert_eq!(closed[0].burst.bytes(), Bytes(100));
+        // Draining hands out only the closed burst; the open one follows.
         let rest = b.flush();
         assert_eq!(rest.len(), 1);
+        assert_eq!(rest[0].burst.bytes(), Bytes(50));
     }
 
     #[test]
@@ -490,7 +477,7 @@ mod tests {
         );
         b.split_now();
         assert_eq!(b.take_completed().len(), 1);
-        assert_eq!(b.observed_bytes(), Bytes::ZERO);
+        assert!(b.flush().is_empty(), "nothing left open");
     }
 
     #[test]

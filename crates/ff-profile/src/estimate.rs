@@ -14,7 +14,7 @@
 //! exactly as it would live.
 
 use crate::burst::ProfiledBurst;
-use ff_base::{Bytes, Dur, Joules};
+use ff_base::{Bytes, Dur, Joules, SimTime};
 use ff_device::{DeviceRequest, Dir, DiskModel, PowerModel, WnicModel};
 use ff_trace::{DiskLayout, FileId, IoOp};
 
@@ -49,15 +49,48 @@ impl<'a> Estimator<'a> {
     /// disk for one small burst would look ~35 J cheaper than it really
     /// is — the idle tail is a direct consequence of the decision.
     pub fn disk_cost(&self, bursts: &[ProfiledBurst], mut disk: DiskModel) -> Estimate {
+        disk.reset_meter();
+        let park = disk.params().timeout + disk.params().spindown_time + Dur::from_millis(1);
+        self.parked_cost(bursts, disk, park)
+    }
+
+    /// `(T_network, E_network)` for servicing `bursts` on `wnic`.
+    /// Includes the parking cost (CAM idle-out plus the CAM→PSM switch).
+    pub fn wnic_cost(&self, bursts: &[ProfiledBurst], mut wnic: WnicModel) -> Estimate {
+        wnic.reset_meter();
+        let park = wnic.params().psm_timeout + wnic.params().to_psm_time + Dur::from_millis(1);
+        self.parked_cost(bursts, wnic, park)
+    }
+
+    /// Walk `bursts` on `model`, then run it on for `park`. The time
+    /// excludes the parking run; the energy is whatever the model's meter
+    /// holds at the end.
+    fn parked_cost<M: PowerModel>(
+        &self,
+        bursts: &[ProfiledBurst],
+        mut model: M,
+        park: Dur,
+    ) -> Estimate {
         if bursts.is_empty() {
             return Estimate {
                 time: Dur::ZERO,
                 energy: Joules::ZERO,
             };
         }
-        disk.reset_meter();
-        let start = disk.clock();
-        let mut t = start;
+        let start = model.clock();
+        let end = self.walk(bursts, &mut model);
+        model.advance_to(end + park);
+        Estimate {
+            time: end.saturating_since(start),
+            energy: model.energy(),
+        }
+    }
+
+    /// Serve `bursts` on `model` from its clock: the requests of a burst
+    /// back to back, each think gap advancing the clock. Returns the
+    /// instant the last gap ends; the model is left there, not parked.
+    pub fn walk<M: PowerModel>(&self, bursts: &[ProfiledBurst], model: &mut M) -> SimTime {
+        let mut t = model.clock();
         for pb in bursts {
             for req in &pb.burst.requests {
                 let dev_req = DeviceRequest {
@@ -65,95 +98,12 @@ impl<'a> Estimator<'a> {
                     bytes: req.len,
                     block: self.layout.block_of(req.file, req.offset),
                 };
-                let out = disk.service(t, &dev_req);
-                t = out.complete;
+                t = model.service(t, &dev_req).complete;
             }
             t += pb.gap_after;
-            disk.advance_to(t);
+            model.advance_to(t);
         }
-        let time = t.saturating_since(start);
-        // Park: run out the idle timeout and the spin-down transient.
-        let park = disk.params().timeout + disk.params().spindown_time + Dur::from_millis(1);
-        disk.advance_to(t + park);
-        Estimate {
-            time,
-            energy: disk.energy(),
-        }
-    }
-
-    /// `(T_network, E_network)` for servicing `bursts` on `wnic`.
-    /// Includes the parking cost (CAM idle-out plus the CAM→PSM switch).
-    pub fn wnic_cost(&self, bursts: &[ProfiledBurst], mut wnic: WnicModel) -> Estimate {
-        if bursts.is_empty() {
-            return Estimate {
-                time: Dur::ZERO,
-                energy: Joules::ZERO,
-            };
-        }
-        wnic.reset_meter();
-        let start = wnic.clock();
-        let mut t = start;
-        for pb in bursts {
-            for req in &pb.burst.requests {
-                let dev_req = DeviceRequest {
-                    dir: to_dir(req.op),
-                    bytes: req.len,
-                    block: None,
-                };
-                let out = wnic.service(t, &dev_req);
-                t = out.complete;
-            }
-            t += pb.gap_after;
-            wnic.advance_to(t);
-        }
-        let time = t.saturating_since(start);
-        let park = wnic.params().psm_timeout + wnic.params().to_psm_time + Dur::from_millis(1);
-        wnic.advance_to(t + park);
-        Estimate {
-            time,
-            energy: wnic.energy(),
-        }
-    }
-}
-
-impl<'a> Estimator<'a> {
-    /// System-level `(T, E)` of the **disk option**: the disk serves the
-    /// bursts while the WNIC idles from its current state (dropping to
-    /// PSM). The paper optimises "energy consumption in a mobile
-    /// computer" — both devices draw power whichever one serves.
-    pub fn system_disk_cost(
-        &self,
-        bursts: &[ProfiledBurst],
-        disk: DiskModel,
-        mut wnic: WnicModel,
-    ) -> Estimate {
-        let serving = self.disk_cost(bursts, disk);
-        wnic.reset_meter();
-        let end = wnic.clock() + serving.time;
-        wnic.advance_to(end);
-        Estimate {
-            time: serving.time,
-            energy: serving.energy + wnic.energy(),
-        }
-    }
-
-    /// System-level `(T, E)` of the **network option**: the WNIC serves
-    /// while the disk idles from its current state (timing out into
-    /// standby — the big win for non-bursty workloads).
-    pub fn system_wnic_cost(
-        &self,
-        bursts: &[ProfiledBurst],
-        mut disk: DiskModel,
-        wnic: WnicModel,
-    ) -> Estimate {
-        let serving = self.wnic_cost(bursts, wnic);
-        disk.reset_meter();
-        let end = disk.clock() + serving.time;
-        disk.advance_to(end);
-        Estimate {
-            time: serving.time,
-            energy: serving.energy + disk.energy(),
-        }
+        t
     }
 }
 
@@ -195,7 +145,6 @@ where
 mod tests {
     use super::*;
     use crate::burst::{IoBurst, MergedRequest};
-    use ff_base::SimTime;
     use ff_device::{DiskParams, WnicParams};
     use ff_trace::{FileMeta, FileSet};
 
@@ -351,33 +300,6 @@ mod tests {
         assert_eq!(filtered.len(), 1);
         assert!(filtered[0].burst.requests.is_empty());
         assert_eq!(filtered[0].gap_after, Dur::from_secs(3));
-    }
-
-    #[test]
-    fn system_costs_include_the_idle_device() {
-        let (_, l) = layout_for(1, 100_000_000);
-        let est = Estimator::new(&l);
-        // A sparse window: 100 KB every 6 s for ~96 s — long enough for
-        // the network option to amortise the disk's 20 s drain-down.
-        let bursts: Vec<_> = (0..16)
-            .map(|_| burst(&[100_000], Dur::from_millis(6_000)))
-            .collect();
-        let disk = DiskModel::new(DiskParams::hitachi_dk23da());
-        let wnic = WnicModel::new(WnicParams::cisco_aironet350());
-        let d_only = est.disk_cost(&bursts, disk.clone());
-        let d_sys = est.system_disk_cost(&bursts, disk.clone(), wnic.clone());
-        // System cost adds the WNIC's PSM idle (0.39 W × span).
-        assert!(d_sys.energy > d_only.energy);
-        assert_eq!(d_sys.time, d_only.time);
-        let n_sys = est.system_wnic_cost(&bursts, disk.clone(), wnic.clone());
-        // For this sparse pattern the network option must win at the
-        // system level: the disk sleeps instead of idling at 1.6 W.
-        assert!(
-            n_sys.energy < d_sys.energy,
-            "network option {} must beat disk option {}",
-            n_sys.energy,
-            d_sys.energy
-        );
     }
 
     #[test]

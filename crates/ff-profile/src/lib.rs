@@ -10,8 +10,7 @@
 //!   them) into **evaluation stages** of just over 40 s.
 //! * [`profile`] — the per-application [`Profile`]: the recorded burst
 //!   sequence, serialisable to JSON so it persists across runs, plus the
-//!   §2.3.1 *splice* operation (replace the first N bursts with the
-//!   currently observed partial profile) and the §2.3.3 concurrent-merge.
+//!   §2.3.1 covered-prefix count and the §2.3.3 concurrent-merge.
 //! * [`estimate`] — the on-line simulator (§2.2): walks a burst sequence
 //!   over cloned device models to produce `(T_disk, E_disk)` and
 //!   `(T_network, E_network)` for a stage.
@@ -45,4 +44,4 @@ pub use burst::{BurstExtractor, IoBurst, MergedRequest, ProfiledBurst};
 pub use estimate::{Estimate, Estimator};
 pub use hoard::{HoardPlan, HoardPlanner};
 pub use profile::{Profile, Profiler};
-pub use stage::{stages_of, Stage};
+pub use stage::{first_stage_len, stages_of, Stage};

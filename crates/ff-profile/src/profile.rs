@@ -51,17 +51,6 @@ impl Profile {
         stages_of(&self.bursts, stage_len)
     }
 
-    /// §2.3.1 splice: *"we use the new profile for this run to replace
-    /// the N I/O bursts in the old profile"*. Returns the assembled
-    /// profile: `observed` followed by `self.bursts[n..]`.
-    pub fn splice(&self, observed: &[ProfiledBurst], n: usize) -> Profile {
-        let tail = self.bursts.iter().skip(n).cloned();
-        Profile {
-            app: self.app.clone(),
-            bursts: observed.iter().cloned().chain(tail).collect(),
-        }
-    }
-
     /// The number of leading bursts the observed amount has fully
     /// covered: the largest `N` with `sum(bursts[..N].bytes) <= bytes` —
     /// "whenever the amount just exceeds the amount of data requested in
@@ -325,29 +314,6 @@ mod tests {
     #[test]
     fn bad_json_reports_parse_error() {
         assert!(Profile::from_json("{not json").is_err());
-    }
-
-    #[test]
-    fn splice_replaces_head() {
-        let old = Profile {
-            app: "a".into(),
-            bursts: vec![pb(0, 1, 1, 100), pb(10, 1, 1, 200), pb(20, 1, 1, 300)],
-        };
-        let observed = vec![pb(0, 2, 2, 999)];
-        let spliced = old.splice(&observed, 2);
-        assert_eq!(spliced.len(), 2);
-        assert_eq!(spliced.bursts[0].burst.bytes(), Bytes(999));
-        assert_eq!(spliced.bursts[1].burst.bytes(), Bytes(300));
-    }
-
-    #[test]
-    fn splice_beyond_end_keeps_only_observed() {
-        let old = Profile {
-            app: "a".into(),
-            bursts: vec![pb(0, 1, 1, 100)],
-        };
-        let spliced = old.splice(&[pb(0, 1, 1, 1)], 10);
-        assert_eq!(spliced.len(), 1);
     }
 
     #[test]

@@ -43,33 +43,32 @@ impl Stage {
     }
 }
 
+/// How many leading bursts of `bursts` form its first stage: the
+/// shortest prefix whose span exceeds `stage_len`, else all of them.
+pub fn first_stage_len(bursts: &[ProfiledBurst], stage_len: Dur) -> usize {
+    let mut span = Dur::ZERO;
+    for (i, pb) in bursts.iter().enumerate() {
+        span += pb.span();
+        if span > stage_len {
+            return i + 1;
+        }
+    }
+    bursts.len()
+}
+
 /// Group a burst sequence into stages whose span *just exceeds*
 /// `stage_len` (the last stage may be shorter). A single burst longer
 /// than `stage_len` forms its own stage.
 pub fn stages_of(bursts: &[ProfiledBurst], stage_len: Dur) -> Vec<Stage> {
     let mut stages = Vec::new();
-    let mut cur: Vec<ProfiledBurst> = Vec::new();
-    let mut cur_first = 0usize;
-    let mut cur_span = Dur::ZERO;
-    for (i, pb) in bursts.iter().enumerate() {
-        if cur.is_empty() {
-            cur_first = i;
-        }
-        cur_span += pb.span();
-        cur.push(pb.clone());
-        if cur_span > stage_len {
-            stages.push(Stage {
-                first_burst: cur_first,
-                bursts: std::mem::take(&mut cur),
-            });
-            cur_span = Dur::ZERO;
-        }
-    }
-    if !cur.is_empty() {
+    let mut first = 0;
+    while let Some(rest) = bursts.get(first..).filter(|rest| !rest.is_empty()) {
+        let n = first_stage_len(rest, stage_len);
         stages.push(Stage {
-            first_burst: cur_first,
-            bursts: cur,
+            first_burst: first,
+            bursts: rest.iter().take(n).cloned().collect(),
         });
+        first += n;
     }
     stages
 }

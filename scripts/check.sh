@@ -57,6 +57,13 @@ lint_step() {
     return 1
 }
 
+# The release build, plus the criterion benches under crates/*/benches:
+# no other step compiles them, so an API change could otherwise break
+# `cargo bench` unseen.
+build_step() {
+    cargo build --release && cargo build --release --benches
+}
+
 doc_step() {
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 }
@@ -121,7 +128,7 @@ artifacts_step() {
 run_step "cargo fmt --all --check" cargo fmt --all --check
 run_step "ff-lint (ratchet vs crates/ff-lint/baseline.json)" lint_step
 run_step "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)" doc_step
-run_step "cargo build --release" cargo build --release
+run_step "cargo build --release (and the criterion benches)" build_step
 # The whole workspace: every crate's unit, integration and doc tests,
 # including the chaos suite, trace conformance, the absint golden and
 # soundness tests, and ff-lint's mutation suite (whose
